@@ -99,7 +99,6 @@ def main() -> int:
             executor=executor,
             max_workers=2,
             write_outputs=False,
-            telemetry=True,
             **overrides,
         )
         t0 = time.perf_counter()

@@ -1,23 +1,26 @@
-"""Telemetry overhead benchmark: instrumented pipeline vs dark probes.
+"""Telemetry overhead benchmark: artifact export vs dark probes.
 
-The subsystem's overhead contract has two halves.  Enabled, collection
-must stay cheap enough to leave on for real runs (fixed-size binary
-appends, no locks).  Disabled — the default — every probe site reduces
-to one ``enabled()`` predicate, and that residue must cost under 2% of
-pipeline wall-clock.
+Every pipeline run collects telemetry — its spans are the run's step
+clock — so the overhead contract has two halves.  Exporting the
+artifacts (``telemetry_dir``: ``telemetry.json``, Perfetto trace,
+metrics snapshot, Prometheus textfile) must stay cheap enough to leave
+on for real runs.  Outside a run — gateway requests, artifact-store
+lookups — every probe site reduces to one ``enabled()`` predicate, and
+that residue must cost under 2% of pipeline wall-clock.
 
 Both halves are measured on the real pipeline over the IS analogue
 (set ``METAPREP_BENCH_TELEMETRY_DATASET=HG`` for the CI smoke variant)
 and recorded to ``BENCH_telemetry.json`` at the repo root:
 
-- an A/B of full runs, telemetry off vs on (spool + merge + artifacts);
+- an A/B of full runs, in-memory record only vs artifacts exported
+  under ``telemetry_dir``;
 - the dark-probe residue, priced directly: per-call cost of a disabled
-  probe times the number of probe emissions an enabled run actually
-  performs, as a fraction of the disabled run's wall-clock.
+  probe times the number of probe emissions a run actually performs,
+  as a fraction of the in-memory run's wall-clock.
 
 The second number is the honest form of "disabled adds <2%": a run-level
-A/B of two identical binaries cannot resolve a sub-1% delta above timer
-noise, but (probe count x per-probe cost) / wall-clock can.
+A/B cannot resolve a sub-1% delta above timer noise, but (probe count x
+per-probe cost) / wall-clock can.
 """
 
 import json
@@ -76,12 +79,12 @@ def test_telemetry_overhead(bench_root, benchmark, tmp_path):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     name, ds, units = _units(bench_root)
 
-    t_off, _ = _best_run_seconds(units)
-    t_on, instrumented = _best_run_seconds(
+    t_mem, _ = _best_run_seconds(units)
+    t_export, instrumented = _best_run_seconds(
         units, telemetry_dir=str(tmp_path / "tele")
-    )
+    )  # the same collection, plus the artifact export
     run = instrumented.telemetry
-    assert run is not None and run.spans
+    assert run.spans
 
     # probe emissions as merged: spans are 1:1 with records, counters and
     # gauges aggregate per (name, task).  Hot-loop emission sites are
@@ -92,17 +95,17 @@ def test_telemetry_overhead(bench_root, benchmark, tmp_path):
         len(per_task) for per_task in run.counters.values()
     ) + sum(len(per_task) for per_task in run.gauges.values()))
     probe_ns = _disabled_probe_ns()
-    disabled_pct = n_probes * probe_ns / 1e9 / t_off * 100.0
-    enabled_pct = (t_on / t_off - 1.0) * 100.0
+    disabled_pct = n_probes * probe_ns / 1e9 / t_mem * 100.0
+    export_pct = (t_export / t_mem - 1.0) * 100.0
 
     payload = {
         "dataset": name,
         "n_pairs": ds.n_pairs,
         "config": CFG,
         "rounds": ROUNDS,
-        "wall_seconds_disabled": round(t_off, 4),
-        "wall_seconds_enabled": round(t_on, 4),
-        "enabled_overhead_pct": round(enabled_pct, 2),
+        "wall_seconds_in_memory": round(t_mem, 4),
+        "wall_seconds_exported": round(t_export, 4),
+        "export_overhead_pct": round(export_pct, 2),
         "probe_emissions_per_run": n_probes,
         "disabled_probe_ns": round(probe_ns, 1),
         "disabled_overhead_pct": round(disabled_pct, 4),
@@ -111,8 +114,8 @@ def test_telemetry_overhead(bench_root, benchmark, tmp_path):
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     rows = [
-        ["telemetry off", f"{t_off:.3f}", "-"],
-        ["telemetry on", f"{t_on:.3f}", f"{enabled_pct:+.1f}%"],
+        ["in-memory record", f"{t_mem:.3f}", "-"],
+        ["artifacts exported", f"{t_export:.3f}", f"{export_pct:+.1f}%"],
         [
             "dark probes (priced)",
             f"{n_probes * probe_ns / 1e9:.6f}",

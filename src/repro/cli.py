@@ -126,14 +126,13 @@ def cmd_run(args) -> int:
             f"T={args.threads}, S={result.n_passes})",
         )
     )
-    if result.telemetry is not None:
+    if args.telemetry:
         from repro.core.report import format_gap_report
         from repro.telemetry.compare import compare_measured_projected
 
         print()
         print(format_gap_report(compare_measured_projected(result.telemetry)))
-        if args.telemetry:
-            print(f"telemetry artifacts written under {args.telemetry}")
+        print(f"telemetry artifacts written under {args.telemetry}")
     if args.out:
         print(f"\npartitions written under {args.out}")
     return 0
@@ -630,8 +629,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry",
         default=None,
         metavar="DIR",
-        help="collect run telemetry and write the artifacts (Perfetto "
-        "trace, metrics snapshot, Prometheus textfile) under DIR",
+        help="write the run's telemetry artifacts (Perfetto trace, "
+        "metrics snapshot, Prometheus textfile) under DIR and print the "
+        "measured-vs-projected gap report",
     )
     p.add_argument(
         "--spill",

@@ -87,9 +87,9 @@ def payload_fingerprint(payload: dict) -> str:
 #: * ``dataplane`` — selects the TupleBlock backing (heap ndarrays vs
 #:   shared-memory segments); both backings carry identical bytes through
 #:   identical stage code, enforced by the dataplane property tests.
-#: * ``telemetry`` / ``telemetry_dir`` — observability only: spans and
-#:   counters record what the run did, never feed back into it (and the
-#:   telemetry package is wall-clock-free by the MP2xx determinism lint).
+#: * ``telemetry_dir`` — observability only: spans and counters record
+#:   what the run did, never feed back into it (and the telemetry
+#:   package is wall-clock-free by the MP2xx determinism lint).
 #: * ``spill`` / ``spill_dir`` — out-of-core mode moves tuple bytes to
 #:   disk between stage barriers but carries identical bytes through
 #:   identical stage code; spill and in-memory runs are bit-identical by
@@ -111,7 +111,6 @@ PARTITION_IRRELEVANT_FIELDS = frozenset(
         "memory_budget_per_task",
         "n_chunks",
         "dataplane",
-        "telemetry",
         "telemetry_dir",
         "spill",
         "spill_dir",

@@ -87,16 +87,14 @@ class PipelineConfig:
     #: forces heap arrays and is invalid with the process engine, whose
     #: workers could not see them.
     dataplane: str = "auto"
-    #: collect real-run telemetry (:mod:`repro.telemetry`): per-worker
-    #: spans for every stage, hot-path counters, pool gauges.  Purely
-    #: observational — never part of the partition result.
-    telemetry: bool = False
     #: persist the run's telemetry artifacts (``telemetry.json``, the
     #: Perfetto ``trace.json``, metrics snapshot, Prometheus textfile)
-    #: under this directory.  Setting it implies ``telemetry``; with
-    #: ``telemetry=True`` and no directory the merged record is returned
-    #: on the :class:`~repro.core.pipeline.PipelineResult` only and the
-    #: spool lives in a private temp directory.
+    #: under this directory, which also holds the spool workers append
+    #: to.  Every run collects telemetry (:mod:`repro.telemetry`) — its
+    #: spans are the run's step clock; with ``None`` the merged record is
+    #: returned on the :class:`~repro.core.pipeline.PipelineResult` only
+    #: and the spool lives in a private temp directory.  Purely
+    #: observational — never part of the partition result.
     telemetry_dir: str | None = None
     #: out-of-core execution (:mod:`repro.runtime.spill`): ``"never"``
     #: keeps every pass's tuples in resident blocks (the historical
@@ -172,12 +170,6 @@ class PipelineConfig:
                     f"n_chunks ({self.n_chunks}) must be >= n_tasks * "
                     f"n_threads ({self.n_tasks * self.n_threads})"
                 )
-
-    @property
-    def telemetry_enabled(self) -> bool:
-        """Telemetry is on when requested explicitly or implied by a
-        persistence directory."""
-        return bool(self.telemetry or self.telemetry_dir is not None)
 
     @property
     def codec(self) -> KmerCodec:

@@ -16,12 +16,18 @@ union-by-index makes the forest order-sensitive, so we fix the paper's
 deterministic orders (threads in rank order, sources in rank order) in the
 job lists and result-merging loops, never in worker scheduling.
 
-Two kinds of timing come out of a run:
+Every step is timed by one clock: the telemetry spans each run records
+(:mod:`repro.telemetry`), merged into ``result.telemetry``.  Two views of
+real time and one model come out of a run:
 
-* ``result.measured`` — real Python time per step.  Under the serial
+* ``result.measured`` — the work view: span seconds summed per step over
+  all tasks, a collective step (MergeCC) counted once.  Under the serial
   engine this is wall time (what the local benchmarks report); under the
-  process engine it aggregates *work* seconds across workers and can
+  parallel engines it aggregates *work* seconds across workers and can
   exceed wall-clock.
+* ``result.telemetry.breakdown()`` — the critical-path view of the same
+  spans (max over tasks per step), which the gap report joins against
+  the projection.
 * ``result.projected`` — the calibrated machine-model projection from the
   measured work volumes (what reproduces the paper's figures; see
   :mod:`repro.runtime.timing`).
@@ -96,7 +102,7 @@ from repro.runtime.work import RunWork, StepNames
 from repro.sort.radix import RadixSortStats, radix_passes_for, radix_sort_block
 from repro.sort.partition import range_partition_block
 from repro.util.logging import get_logger
-from repro.util.timers import StepTimer, TimeBreakdown
+from repro.util.timers import TimeBreakdown
 
 _LOG = get_logger("core.pipeline")
 
@@ -159,9 +165,9 @@ class _WorkerContext:
     n_threads: int
     kmer_filter: FrequencyFilter
     radix_skip_constant: bool
-    #: spool settings when the run collects telemetry; workers activate
-    #: the thread-local emitter from this on first job
-    telemetry: TelemetrySettings | None = None
+    #: the run's spool settings; workers activate the thread-local
+    #: emitter from this on first job
+    telemetry: TelemetrySettings
 
 
 @dataclass
@@ -194,7 +200,6 @@ class _ChunkResult:
     counts: np.ndarray
     #: k-mer positions scanned (pre-range-filter), for work accounting
     n_positions: int
-    times: TimeBreakdown
 
 
 def _kmergen_chunk_task(job: _ChunkJob) -> _ChunkResult:
@@ -208,18 +213,13 @@ def _kmergen_chunk_task(job: _ChunkJob) -> _ChunkResult:
     write itself; only the tiny count/stat result crosses back.
     """
     ctx: _WorkerContext = worker_shared()
-    tele = ctx.telemetry is not None
-    if tele:
-        telemetry.activate(ctx.telemetry)
-    times = TimeBreakdown()
+    telemetry.activate(ctx.telemetry)
     t0 = time.perf_counter_ns()
     batch = load_chunk_reads(ctx.table, job.chunk, keep_metadata=False)
     t1 = time.perf_counter_ns()
-    times.add(StepNames.KMERGEN_IO, (t1 - t0) / 1e9)
-    if tele:
-        telemetry.record_span(
-            StepNames.KMERGEN_IO, t0, t1, task=job.task, aux=job.chunk
-        )
+    telemetry.record_span(
+        StepNames.KMERGEN_IO, t0, t1, task=job.task, aux=job.chunk
+    )
 
     t0 = time.perf_counter_ns()
     tuples = enumerate_canonical_kmers(batch, ctx.k)
@@ -231,19 +231,14 @@ def _kmergen_chunk_task(job: _ChunkJob) -> _ChunkResult:
     dest = np.clip(dest, 0, ctx.n_tasks - 1)
     parts, counts = kept.split_by_destination(dest, ctx.n_tasks)
     t1 = time.perf_counter_ns()
-    times.add(StepNames.KMERGEN, (t1 - t0) / 1e9)
-    if tele:
-        telemetry.record_span(
-            StepNames.KMERGEN, t0, t1, task=job.task, aux=job.chunk
-        )
-        for d in range(ctx.n_tasks):
-            if counts[d]:
-                telemetry.add_counter(
-                    "kmergen.tuples_routed",
-                    int(counts[d]),
-                    task=job.task,
-                    aux=d,
-                )
+    telemetry.record_span(
+        StepNames.KMERGEN, t0, t1, task=job.task, aux=job.chunk
+    )
+    for d in range(ctx.n_tasks):
+        if counts[d]:
+            telemetry.add_counter(
+                "kmergen.tuples_routed", int(counts[d]), task=job.task, aux=d
+            )
 
     # Mandatory, not gated by verify_static_counts: the write offsets
     # assume the table-predicted counts, so a mismatch would scribble
@@ -278,22 +273,15 @@ def _kmergen_chunk_task(job: _ChunkJob) -> _ChunkResult:
                     sender=job.task,
                 )
     t1 = time.perf_counter_ns()
-    times.add(StepNames.KMERGEN_COMM, (t1 - t0) / 1e9)
-    if tele:
-        telemetry.record_span(
-            StepNames.KMERGEN_COMM, t0, t1, task=job.task, aux=job.chunk
-        )
-        telemetry.set_gauge(
-            "proc.peak_rss_kb",
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-            task=job.task,
-        )
-    return _ChunkResult(
-        chunk=job.chunk,
-        counts=counts,
-        n_positions=len(tuples),
-        times=times,
+    telemetry.record_span(
+        StepNames.KMERGEN_COMM, t0, t1, task=job.task, aux=job.chunk
     )
+    telemetry.set_gauge(
+        "proc.peak_rss_kb",
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        task=job.task,
+    )
+    return _ChunkResult(chunk=job.chunk, counts=counts, n_positions=len(tuples))
 
 
 @dataclass
@@ -330,7 +318,6 @@ class _OwnerResult:
     edges_by_thread: np.ndarray
     sort_stats: RadixSortStats
     cc_stats: LocalCCStats
-    times: TimeBreakdown
 
 
 def _owner_sort_cc_task(job: _OwnerJob) -> _OwnerResult:
@@ -343,10 +330,7 @@ def _owner_sort_cc_task(job: _OwnerJob) -> _OwnerResult:
     identical on every engine.
     """
     ctx: _WorkerContext = worker_shared()
-    tele = ctx.telemetry is not None
-    if tele:
-        telemetry.activate(ctx.telemetry)
-    times = TimeBreakdown()
+    telemetry.activate(ctx.telemetry)
     forest = DisjointSetForest.wrap(job.parent)
 
     if job.spill_target is not None:
@@ -376,28 +360,23 @@ def _owner_sort_cc_task(job: _OwnerJob) -> _OwnerResult:
             )
             start = end
         t1 = time.perf_counter_ns()
-        times.add(StepNames.LOCALSORT, (t1 - t0) / 1e9)
-        if tele:
-            telemetry.record_span(
-                StepNames.LOCALSORT, t0, t1, task=job.task, aux=job.pass_index
-            )
+        telemetry.record_span(
+            StepNames.LOCALSORT, t0, t1, task=job.task, aux=job.pass_index
+        )
 
         t0 = time.perf_counter_ns()
         cc_stats, edges_by_thread = fold_block_partitions(
             block, counts, forest, ctx.kmer_filter
         )
         t1 = time.perf_counter_ns()
-        times.add(StepNames.LOCALCC, (t1 - t0) / 1e9)
-        if tele:
-            telemetry.record_span(
-                StepNames.LOCALCC, t0, t1, task=job.task, aux=job.pass_index
-            )
-    if tele:
-        telemetry.set_gauge(
-            "proc.peak_rss_kb",
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-            task=job.task,
+        telemetry.record_span(
+            StepNames.LOCALCC, t0, t1, task=job.task, aux=job.pass_index
         )
+    telemetry.set_gauge(
+        "proc.peak_rss_kb",
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        task=job.task,
+    )
     return _OwnerResult(
         task=job.task,
         parent=forest.parent,
@@ -406,7 +385,6 @@ def _owner_sort_cc_task(job: _OwnerJob) -> _OwnerResult:
         edges_by_thread=edges_by_thread,
         sort_stats=sort_stats,
         cc_stats=cc_stats,
-        times=times,
     )
 
 
@@ -419,18 +397,23 @@ class PipelineResult:
     partition: PartitionResult
     work: RunWork
     projected: ProjectedTimes
-    measured: TimeBreakdown
     plan: PassPlan
     index: IndexCreateResult
     merge_stats: MergeCCStats
     sort_stats: RadixSortStats
     cc_stats: LocalCCStats
+    #: merged real-run telemetry: every span, counter and gauge
+    telemetry: RunTelemetry
     comm_stats: List[AllToAllStats] = field(default_factory=list)
-    #: merged real-run telemetry; None unless the run enabled it
-    telemetry: RunTelemetry | None = None
     #: pass indices that ran out-of-core (the spill schedule's True
     #: entries); empty for a fully in-memory run
     spilled_passes: List[int] = field(default_factory=list)
+
+    @property
+    def measured(self) -> TimeBreakdown:
+        """Real seconds per step, summed over tasks (the work view of
+        the run's spans; see the module docstring)."""
+        return self.telemetry.work_breakdown()
 
     @property
     def n_passes(self) -> int:
@@ -499,17 +482,14 @@ class MetaPrep:
         for cooperative cancellation and timeouts; any checkpoint already
         written stays on disk for the next attempt.
 
-        With ``config.telemetry`` (or a ``config.telemetry_dir``) the run
-        additionally records per-worker spans and hot-path counters
+        Every run records per-worker spans and hot-path counters
         (:mod:`repro.telemetry`); the merged record lands on
-        ``result.telemetry`` and, when a directory is set, is exported as
-        Perfetto trace / metrics snapshot / Prometheus textfile.
+        ``result.telemetry`` and, when ``config.telemetry_dir`` is set, is
+        exported as Perfetto trace / metrics snapshot / Prometheus
+        textfile.
         """
-        cfg = self.config
-        collector = None
-        if cfg.telemetry_enabled:
-            collector = TelemetryCollector(cfg.telemetry_dir)
-            telemetry.activate(collector.settings)
+        collector = TelemetryCollector(self.config.telemetry_dir)
+        telemetry.activate(collector.settings)
         try:
             return self._run(
                 units,
@@ -521,9 +501,8 @@ class MetaPrep:
                 collector,
             )
         finally:
-            if collector is not None:
-                telemetry.deactivate()
-                collector.close()
+            telemetry.deactivate()
+            collector.close()
 
     def _run(
         self,
@@ -533,7 +512,7 @@ class MetaPrep:
         checkpoint_dir,
         artifact_store,
         events,
-        collector: TelemetryCollector | None,
+        collector: TelemetryCollector,
     ) -> PipelineResult:
         cfg = self.config
 
@@ -594,7 +573,6 @@ class MetaPrep:
         )
         work.fastq_chunk_bytes = _peak_chunk_bytes(table)
         work.table_bytes = table.nbytes + merhist.nbytes
-        timer = StepTimer()
         forests = [DisjointSetForest(n_reads) for _ in range(p_tasks)]
         sort_stats = RadixSortStats()
         cc_stats = LocalCCStats()
@@ -645,9 +623,7 @@ class MetaPrep:
                 n_threads=t_threads,
                 kmer_filter=cfg.kmer_filter,
                 radix_skip_constant=cfg.radix_skip_constant,
-                telemetry=(
-                    collector.settings if collector is not None else None
-                ),
+                telemetry=collector.settings,
             )
         )
         plane = create_block_transport(cfg.dataplane, executor)
@@ -667,7 +643,6 @@ class MetaPrep:
                     assignment,
                     forests,
                     work,
-                    timer,
                     sort_stats,
                     cc_stats,
                     comm_stats,
@@ -706,16 +681,15 @@ class MetaPrep:
 
         # ---- MergeCC --------------------------------------------------
         t0_ns = time.perf_counter_ns()
-        with timer.step(StepNames.MERGECC):
-            global_parent, merge_stats = merge_component_arrays(
-                [f.parent for f in forests]
-            )
-        if telemetry.enabled():
-            # the tree merge is a collective: every task participates over
-            # the same interval, so each task row carries the span
-            t1_ns = time.perf_counter_ns()
-            for p in range(p_tasks):
-                telemetry.record_span(StepNames.MERGECC, t0_ns, t1_ns, task=p)
+        global_parent, merge_stats = merge_component_arrays(
+            [f.parent for f in forests]
+        )
+        # the tree merge is a collective: every task participates over the
+        # same interval, so each task row carries the span (the work view
+        # counts it once)
+        t1_ns = time.perf_counter_ns()
+        for p in range(p_tasks):
+            telemetry.record_span(StepNames.MERGECC, t0_ns, t1_ns, task=p)
         work.merge_rounds = tree_merge_schedule(p_tasks)
         work.merge_bytes_per_send = 4 * n_reads
         work.merge_entries_by_task = np.asarray(
@@ -728,14 +702,10 @@ class MetaPrep:
         partition = partition_from_parent(global_parent)
         if cfg.write_outputs and output_dir is not None:
             t0_ns = time.perf_counter_ns()
-            with timer.step(StepNames.CC_IO):
-                write_partitions(
-                    partition, table, assignment, p_tasks, t_threads, output_dir
-                )
-            if telemetry.enabled():
-                telemetry.record_span(
-                    StepNames.CC_IO, t0_ns, time.perf_counter_ns()
-                )
+            write_partitions(
+                partition, table, assignment, p_tasks, t_threads, output_dir
+            )
+            telemetry.record_span(StepNames.CC_IO, t0_ns, time.perf_counter_ns())
             work.ccio_bytes = partition.bytes_written.copy()
         else:
             work.ccio_bytes = _estimate_ccio_bytes(
@@ -750,21 +720,15 @@ class MetaPrep:
             n_reads=n_reads,
         )
         projected = TimingModel(get_machine(cfg.machine)).project(work)
-        run_telemetry = None
-        if collector is not None:
-            run_telemetry = collector.finalize(
-                n_tasks=p_tasks, projected=projected
-            )
-            if cfg.telemetry_dir is not None:
-                from repro.telemetry.exporters import export_run_artifacts
+        run_telemetry = collector.finalize(n_tasks=p_tasks, projected=projected)
+        if cfg.telemetry_dir is not None:
+            from repro.telemetry.exporters import export_run_artifacts
 
-                artifacts = export_run_artifacts(
-                    run_telemetry, cfg.telemetry_dir
-                )
-                _LOG.info(
-                    "telemetry artifacts: %s",
-                    ", ".join(str(p) for p in artifacts.values()),
-                )
+            artifacts = export_run_artifacts(run_telemetry, cfg.telemetry_dir)
+            _LOG.info(
+                "telemetry artifacts: %s",
+                ", ".join(str(p) for p in artifacts.values()),
+            )
         _LOG.info(
             "run complete: %d reads, %d tuples, %d components (LC %.1f%%), "
             "projected %s %.2fs",
@@ -781,7 +745,6 @@ class MetaPrep:
             partition=partition,
             work=work,
             projected=projected,
-            measured=timer.breakdown,
             plan=plan,
             index=index,
             merge_stats=merge_stats,
@@ -800,13 +763,12 @@ class MetaPrep:
         assignment: np.ndarray,
         forests: List[DisjointSetForest],
         work: RunWork,
-        timer: StepTimer,
         sort_stats: RadixSortStats,
         cc_stats: LocalCCStats,
         comm_stats: List[AllToAllStats],
         executor: ExecutionBackend,
         plane: BlockTransport,
-        collector: TelemetryCollector | None = None,
+        collector: TelemetryCollector,
         spill_mgr: SpillManager | None = None,
     ) -> None:
         cfg = self.config
@@ -881,8 +843,7 @@ class MetaPrep:
                     for c in range(table.n_chunks)
                 ],
             )
-            if collector is not None:
-                collector.merge()  # KmerGen barrier: all chunk spools final
+            collector.merge()  # KmerGen barrier: all chunk spools final
 
             actual_counts = np.zeros(
                 (p_tasks, t_threads, p_tasks), dtype=np.int64
@@ -890,7 +851,6 @@ class MetaPrep:
             for res in chunk_results:
                 c = res.chunk
                 p, t = divmod(int(assignment[c]), t_threads)
-                timer.merge(res.times)
                 work.kmergen_io_bytes[p, t] += table.chunk_bytes(c)
                 work.fastq_parse_bytes[p, t] += table.chunk_bytes(c)
                 work.kmergen_positions_scanned[p, t] += res.n_positions
@@ -914,7 +874,6 @@ class MetaPrep:
                 # forest — forest state never crosses the executor
                 # boundary, and the mapping equals the sequential
                 # chunk-by-chunk scan (find_many is pure, elementwise).
-                t_gen0 = time.perf_counter_ns()
                 for d in range(p_tasks):
                     t_d0 = time.perf_counter_ns()
                     for p in range(p_tasks):
@@ -942,27 +901,28 @@ class MetaPrep:
                                 hi_i,
                                 map_ids_to_components(ids, forests[p]),
                             )
-                    if telemetry.enabled():
-                        telemetry.record_span(
-                            StepNames.KMERGEN,
-                            t_d0,
-                            time.perf_counter_ns(),
-                            task=d,
-                            aux=spec.index,
-                        )
-                timer.record(
-                    StepNames.KMERGEN,
-                    (time.perf_counter_ns() - t_gen0) / 1e9,
-                )
+                    telemetry.record_span(
+                        StepNames.KMERGEN,
+                        t_d0,
+                        time.perf_counter_ns(),
+                        task=d,
+                        aux=spec.index,
+                    )
 
             # ---- KmerGen-Comm ------------------------------------------
             # The tuples already sit in their owners' blocks (the chunk
             # writers' offset writes *are* the exchange); what remains of
             # Comm is the byte accounting, reproduced exactly from the
-            # static counts.
-            with timer.step(StepNames.KMERGEN_COMM):
-                by_task = sender_splits[1:] - sender_splits[:-1]
-                stats = block_exchange_stats(by_task, cfg.tuple_bytes)
+            # static counts, timed on the driver row.
+            t0_ns = time.perf_counter_ns()
+            by_task = sender_splits[1:] - sender_splits[:-1]
+            stats = block_exchange_stats(by_task, cfg.tuple_bytes)
+            telemetry.record_span(
+                StepNames.KMERGEN_COMM,
+                t0_ns,
+                time.perf_counter_ns(),
+                aux=spec.index,
+            )
             comm_stats.append(stats)
             work.comm_bytes_matrix += stats.bytes_matrix
             work.comm_stage_max_bytes.append(
@@ -1002,13 +962,11 @@ class MetaPrep:
                     for d in range(p_tasks)
                 ],
             )
-            if collector is not None:
-                collector.merge()  # LocalSort+LocalCC barrier
+            collector.merge()  # LocalSort+LocalCC barrier
             nominal_passes = radix_passes_for(cfg.k)
             for res in owner_results:
                 d = res.task
                 forests[d] = DisjointSetForest.wrap(res.parent)
-                timer.merge(res.times)
                 # partition scatter work: each thread handles ~1/T of the
                 # stream
                 work.partition_tuples[d, :] += int(

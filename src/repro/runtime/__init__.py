@@ -63,7 +63,6 @@ from repro.runtime.transport import (
 )
 from repro.runtime.work import RunWork, StepNames
 from repro.runtime.timing import TimingModel, ProjectedTimes
-from repro.runtime.trace import projection_to_trace_events, write_chrome_trace
 
 __all__ = [
     "ENGINES",
@@ -106,6 +105,4 @@ __all__ = [
     "StepNames",
     "TimingModel",
     "ProjectedTimes",
-    "projection_to_trace_events",
-    "write_chrome_trace",
 ]

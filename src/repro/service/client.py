@@ -46,6 +46,21 @@ def poll_schedule(
         delay = min(delay * factor, cap)
 
 
+def _queued_status(job_id: str, spec: Dict) -> Dict:
+    """Status document of a submission no daemon has ingested yet."""
+    return {
+        "job_id": job_id,
+        "state": JobState.QUEUED,
+        "attempt": 0,
+        "error": None,
+        "result": {},
+        "metrics": {},
+        "submitted_at": spec.get("submitted_at"),
+        "started_at": None,
+        "finished_at": None,
+    }
+
+
 class ServiceClient:
     """Submit/status/result/cancel against one spool directory."""
 
@@ -88,28 +103,39 @@ class ServiceClient:
         return job.job_id
 
     # ------------------------------------------------------------------
+    # The daemon ingests a drop file by appending its ``submitted`` event
+    # and *then* unlinking the file, so a job is always visible in the
+    # log, in ``submit/``, or in both.  A reader that replays the log and
+    # then looks in ``submit/`` can still miss a job ingested between
+    # the two reads; the log has it by then.
+    def _replay(self) -> Dict:
+        return replay_records(EventLog(self.spool_dir / "events.jsonl"))
+
+    def _pending_specs(self, pattern: str) -> List[Dict]:
+        """Job specs of the drop files matching ``pattern``, skipping
+        any the daemon consumed between the glob and the read."""
+        specs = []
+        for path in sorted((self.spool_dir / SUBMIT_DIR).glob(pattern)):
+            try:
+                specs.append(json.loads(path.read_text()))
+            except FileNotFoundError:
+                continue
+        return specs
+
     def status(self, job_id: str) -> Dict:
         """Current status document of one job."""
         result_path = self.spool_dir / RESULTS_DIR / f"{job_id}.json"
         if result_path.exists():
             return json.loads(result_path.read_text())
-        records = replay_records(EventLog(self.spool_dir / "events.jsonl"))
-        if job_id in records:
-            return records[job_id].status_dict()
-        # submitted but not yet ingested by the daemon?
-        for path in (self.spool_dir / SUBMIT_DIR).glob(f"*-{job_id}.json"):
-            spec = json.loads(path.read_text())
-            return {
-                "job_id": job_id,
-                "state": JobState.QUEUED,
-                "attempt": 0,
-                "error": None,
-                "result": {},
-                "metrics": {},
-                "submitted_at": spec.get("submitted_at"),
-                "started_at": None,
-                "finished_at": None,
-            }
+        # a miss in both places means the daemon ingested the job after
+        # the replay: one more replay sees it
+        for _ in range(2):
+            records = self._replay()
+            if job_id in records:
+                return records[job_id].status_dict()
+            # submitted but not yet ingested by the daemon?
+            for spec in self._pending_specs(f"*-{job_id}.json"):
+                return _queued_status(job_id, spec)
         raise JobStateError(f"unknown job {job_id}")
 
     def list_jobs(self) -> List[Dict]:
@@ -118,25 +144,14 @@ class ServiceClient:
         Includes submissions still sitting in ``submit/`` that no daemon
         has ingested yet (reported as ``queued``, attempt 0).
         """
-        records = replay_records(EventLog(self.spool_dir / "events.jsonl"))
+        # read submit/ before the log: a drop file consumed after this
+        # read has its event in the log by the time of the replay
+        pending = self._pending_specs("*.json")
+        records = self._replay()
         statuses = [r.status_dict() for r in records.values()]
-        for path in sorted((self.spool_dir / SUBMIT_DIR).glob("*.json")):
-            spec = json.loads(path.read_text())
-            if spec.get("job_id") in records:
-                continue
-            statuses.append(
-                {
-                    "job_id": spec.get("job_id", "?"),
-                    "state": JobState.QUEUED,
-                    "attempt": 0,
-                    "error": None,
-                    "result": {},
-                    "metrics": {},
-                    "submitted_at": spec.get("submitted_at"),
-                    "started_at": None,
-                    "finished_at": None,
-                }
-            )
+        for spec in pending:
+            if spec.get("job_id") not in records:
+                statuses.append(_queued_status(spec.get("job_id", "?"), spec))
         return statuses
 
     # ------------------------------------------------------------------

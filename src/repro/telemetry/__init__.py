@@ -1,9 +1,10 @@
 """``repro.telemetry`` — real-run observability.
 
-The simulated side of the repo (cost model, projections,
-:mod:`repro.runtime.trace`) predicts where time *should* go; this
-package observes where it *actually* goes, on every run, with near-zero
-overhead when disabled:
+The simulated side of the repo (cost model, projections) predicts where
+time *should* go; this package observes where it *actually* goes, on
+every pipeline run — its spans are the run's only step clock.  Probes
+outside a run (gateway, artifact store) cost one predicate test.
+
 
 * :mod:`~repro.telemetry.runtime` — the span/counter API stage code
   calls (thread-local, no-op unless activated);
@@ -12,8 +13,9 @@ overhead when disabled:
   crash-safe;
 * :mod:`~repro.telemetry.collect` — the driver-side collector merging
   spools at stage barriers into a :class:`RunTelemetry`;
-* :mod:`~repro.telemetry.exporters` — Perfetto trace, Prometheus
-  textfile, JSON metrics snapshot;
+* :mod:`~repro.telemetry.exporters` — Perfetto trace (measured spans
+  plus the projection replay), Prometheus textfile, JSON metrics
+  snapshot;
 * :mod:`~repro.telemetry.compare` — the measured-vs-projected gap
   report.
 

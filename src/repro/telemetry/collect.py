@@ -50,6 +50,10 @@ from repro.util.timers import TimeBreakdown
 #: task id used for driver-side events
 DRIVER_TASK = -1
 
+#: steps every task runs together over one shared interval (the tree
+#: merge): each task row carries the span, the work view counts it once
+COLLECTIVE_STEPS = frozenset({StepNames.MERGECC})
+
 SPOOL_SUBDIR = "spool"
 RUN_FILENAME = "telemetry.json"
 
@@ -97,7 +101,8 @@ class RunTelemetry:
     projected: Optional[ProjectedTimes] = None
 
     # ------------------------------------------------------------------
-    # span aggregation (barrier semantics, matching ProjectedTimes)
+    # span aggregation: the critical-path view (barrier semantics,
+    # matching ProjectedTimes) and the work view (summed over tasks)
     # ------------------------------------------------------------------
     def per_task_step_seconds(self, step: str) -> Dict[int, float]:
         """Summed span seconds per task for one step."""
@@ -121,10 +126,27 @@ class RunTelemetry:
         extras = sorted(seen.difference(StepNames.ORDER))
         return ordered + extras
 
+    def work_seconds(self, step: str) -> float:
+        """Work time of a step: span seconds summed over every task, a
+        :data:`COLLECTIVE_STEPS` interval counted once."""
+        per_task = self.per_task_step_seconds(step).values()
+        if step in COLLECTIVE_STEPS:
+            return max(per_task, default=0.0)
+        return sum(per_task)
+
     def breakdown(self) -> TimeBreakdown:
+        """Critical-path seconds per step (what the gap report joins
+        against the projection)."""
         bd = TimeBreakdown()
         for step in self.step_names():
             bd.add(step, self.step_seconds(step))
+        return bd
+
+    def work_breakdown(self) -> TimeBreakdown:
+        """Work seconds per step (``PipelineResult.measured``)."""
+        bd = TimeBreakdown()
+        for step in self.step_names():
+            bd.add(step, self.work_seconds(step))
         return bd
 
     def tasks_seen(self) -> List[int]:

@@ -5,8 +5,10 @@ Mirrors the worker-shared-context pattern of
 :func:`activate` (the driver activates its collector's settings; worker
 job functions re-activate the settings shipped in the worker context,
 which is a no-op when already active), and every emission function is a
-no-op when nothing is active — a disabled run pays one thread-local
-``getattr`` per call site.
+no-op when nothing is active.  Every pipeline run activates a collector,
+so the disabled path serves only code outside a run (gateway requests,
+artifact-store lookups), which pays one thread-local ``getattr`` per
+call site.
 
 Each (process, thread) writes its own spool file, named
 ``w<pid>-<tid>.evt`` inside the collector's spool directory, so no two

@@ -76,8 +76,7 @@ def daemons():
         d.stop()
 
 
-def _run(tiny_hg, indexes, grid_point, executor, workers=(), spill="never",
-         telemetry=False):
+def _run(tiny_hg, indexes, grid_point, executor, workers=(), spill="never"):
     cfg = PipelineConfig(
         m=M,
         write_outputs=False,
@@ -85,7 +84,6 @@ def _run(tiny_hg, indexes, grid_point, executor, workers=(), spill="never",
         max_workers=2,
         worker_addresses=workers,
         spill=spill,
-        telemetry=telemetry,
         **grid_point,
     )
     return MetaPrep(cfg).run(tiny_hg.units, index=indexes[grid_point["k"]])
@@ -149,12 +147,9 @@ class TestWireAccounting:
     @pytest.fixture(scope="class")
     def telemetries(self, tiny_hg, indexes, daemons):
         addresses = tuple(d.address for d in daemons)
-        serial = _run(
-            tiny_hg, indexes, self.GRID_POINT, "serial", telemetry=True
-        )
+        serial = _run(tiny_hg, indexes, self.GRID_POINT, "serial")
         dist = _run(
-            tiny_hg, indexes, self.GRID_POINT, "distributed", addresses,
-            telemetry=True,
+            tiny_hg, indexes, self.GRID_POINT, "distributed", addresses
         )
         return serial, dist
 

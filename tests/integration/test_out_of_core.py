@@ -158,11 +158,8 @@ def spill_telemetry(tiny_hg, ooc_index, budget, tmp_path_factory):
         max_workers=2,
         spill="always",
         memory_budget_per_task=budget,
-        telemetry=True,
     )
-    result = _run(tiny_hg, ooc_index, cfg)
-    assert result.telemetry is not None
-    return result
+    return _run(tiny_hg, ooc_index, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -172,11 +169,8 @@ def inmemory_telemetry(tiny_hg, ooc_index, budget):
         max_workers=2,
         spill="never",
         memory_budget_per_task=budget,
-        telemetry=True,
     )
-    result = _run(tiny_hg, ooc_index, cfg)
-    assert result.telemetry is not None
-    return result
+    return _run(tiny_hg, ooc_index, cfg)
 
 
 class TestMemoryBound:

@@ -1,11 +1,12 @@
-import json
+"""The projection replay of the Perfetto exporter: barrier-aligned
+duration events per (task, step)."""
 
 import pytest
 
 from repro.runtime.machines import EDISON
 from repro.runtime.timing import TimingModel
-from repro.runtime.trace import projection_to_trace_events, write_chrome_trace
 from repro.runtime.work import RunWork, StepNames
+from repro.telemetry.exporters import projection_to_trace_events
 
 
 @pytest.fixture()
@@ -61,24 +62,3 @@ class TestTraceEvents:
         # single-task comm steps are zero for P... here P=3 but no comm
         # volumes were set: KmerGen-Comm has zero duration -> no events
         assert all(e["dur"] > 0 for e in events)
-
-
-class TestWriteChromeTrace:
-    def test_valid_json_with_metadata(self, projection, tmp_path):
-        path = tmp_path / "trace.json"
-        n = write_chrome_trace(projection, path)
-        payload = json.loads(path.read_text())
-        assert "traceEvents" in payload
-        thread_names = [
-            e for e in payload["traceEvents"] if e["name"] == "thread_name"
-        ]
-        assert len(thread_names) == 3
-        duration_events = [
-            e for e in payload["traceEvents"] if e.get("ph") == "X"
-        ]
-        assert len(duration_events) == n
-
-    def test_creates_parent_dirs(self, projection, tmp_path):
-        path = tmp_path / "deep" / "trace.json"
-        write_chrome_trace(projection, path)
-        assert path.exists()

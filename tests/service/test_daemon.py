@@ -266,6 +266,47 @@ class TestCancellationAndSpool:
         assert not stale.parent.exists()  # emptied job dir removed too
 
 
+class TestIngestRace:
+    """The daemon ingests a drop file by appending its event and then
+    unlinking the file; a client read landing between its log replay and
+    its ``submit/`` glob must still find the job."""
+
+    @pytest.fixture()
+    def racing(self, tiny_hg, tmp_path, monkeypatch):
+        import repro.service.client as client_mod
+
+        spool = tmp_path / "spool"
+        client = ServiceClient(spool)
+        job_id = client.submit(tiny_hg.units, config=CFG)
+        daemon = ServeDaemon(spool)
+        original = client_mod.replay_records
+        ingested = []
+
+        def replay_then_ingest(log):
+            records = original(log)
+            if not ingested:
+                # the daemon's ingest lands right after the client's replay
+                ingested.append(daemon._ingest())
+            return records
+
+        monkeypatch.setattr(client_mod, "replay_records", replay_then_ingest)
+        return client, job_id, spool, ingested
+
+    def test_status_between_replay_and_glob(self, racing):
+        client, job_id, spool, ingested = racing
+        status = client.status(job_id)
+        assert ingested == [1]
+        assert not list((spool / "submit").glob("*.json"))
+        assert status["job_id"] == job_id
+        assert status["state"] == JobState.QUEUED
+
+    def test_list_jobs_between_replay_and_glob(self, racing):
+        client, job_id, _, ingested = racing
+        jobs = client.list_jobs()
+        assert ingested == [1]
+        assert [j["job_id"] for j in jobs] == [job_id]
+
+
 class TestServiceMetrics:
     """``metaprep serve`` publishes scrape-ready metrics under
     ``<spool>/metrics/`` — a JSON snapshot plus a Prometheus textfile."""

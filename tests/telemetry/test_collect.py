@@ -114,6 +114,18 @@ class TestBarrierSemantics:
     def test_absent_step_is_zero(self):
         assert self.run_with_spans().step_seconds(StepNames.MERGECC) == 0.0
 
+    def test_work_breakdown_sums_tasks_and_counts_collective_once(self):
+        run = self.run_with_spans()
+        # the tree merge: one 0.5 s interval carried on both task rows
+        run.spans += [
+            SpanEvent(StepNames.MERGECC, task, -1, 3_000_000_000, 3_500_000_000)
+            for task in (0, 1)
+        ]
+        bd = run.work_breakdown()
+        assert bd.seconds[StepNames.LOCALSORT] == pytest.approx(5.0)
+        assert bd.seconds[StepNames.MERGECC] == pytest.approx(0.5)
+        assert run.work_seconds(StepNames.CC_IO) == 0.0
+
 
 class TestSerialization:
     def test_save_load_roundtrip_with_projection(self, tmp_path):

@@ -1,10 +1,11 @@
-"""End-to-end telemetry over real pipeline runs, both engines.
+"""End-to-end telemetry over real pipeline runs, every engine.
 
 The acceptance contract of the subsystem: a real multiprocess run
 (process engine, shared dataplane) yields a Perfetto trace with one row
 per task carrying spans for every paper stage, hot-path counters that
 agree with the run's own work accounting, and — crash or no crash — no
-orphaned spool files.
+orphaned spool files.  Spans are the run's only step clock: every run
+collects them, and ``result.measured`` is their per-step sum.
 """
 
 import glob
@@ -17,6 +18,7 @@ from repro import telemetry
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import MetaPrep
 from repro.runtime.work import StepNames
+from repro.runtime.worker import WorkerDaemon
 from repro.telemetry.collect import SPOOL_SUBDIR
 from repro.telemetry.compare import compare_measured_projected
 
@@ -27,6 +29,17 @@ PER_TASK_STAGES = (
     StepNames.LOCALCC,
     StepNames.MERGECC,
 )
+
+#: every step a run times: the per-task stages plus the two I/O steps
+TIMED_STEPS = PER_TASK_STAGES + (StepNames.KMERGEN_IO, StepNames.CC_IO)
+
+#: one execution path per entry: the engines, plus the out-of-core path
+CLOCK_PATHS = {
+    "serial": dict(executor="serial"),
+    "process": dict(executor="process", dataplane="shared", max_workers=2),
+    "spill-always": dict(executor="serial", spill="always"),
+    "distributed": dict(executor="distributed", max_workers=2),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -61,6 +74,60 @@ def telemetered(request, tiny_hg, tmp_path_factory):
         write_outputs=True,
     )
     return result, directory / "tele"
+
+
+@pytest.fixture(scope="module")
+def daemons():
+    started = [WorkerDaemon(), WorkerDaemon()]
+    for d in started:
+        d.start()
+    yield started
+    for d in started:
+        d.stop()
+
+
+@pytest.fixture(scope="module", params=sorted(CLOCK_PATHS))
+def clocked(request, tiny_hg, tmp_path_factory):
+    """One run per execution path that passes no telemetry argument."""
+    kwargs = dict(CLOCK_PATHS[request.param])
+    if request.param == "distributed":
+        daemons = request.getfixturevalue("daemons")
+        kwargs["worker_addresses"] = tuple(d.address for d in daemons)
+    directory = tmp_path_factory.mktemp(f"clock-{request.param}")
+    return run(tiny_hg, tmp_path=directory, write_outputs=True, **kwargs)
+
+
+class TestOneClock:
+    def test_default_run_carries_telemetry(self, clocked):
+        assert clocked.config.telemetry_dir is None
+        assert clocked.telemetry is not None
+        assert clocked.telemetry.spans
+
+    def test_measured_has_every_timed_step(self, clocked):
+        for step in TIMED_STEPS:
+            assert step in clocked.measured.seconds, step
+
+    def test_measured_is_span_sum_with_mergecc_once(self, clocked):
+        rt = clocked.telemetry
+        expected = {}
+        for s in rt.spans:
+            if s.name != StepNames.MERGECC:
+                expected[s.name] = expected.get(s.name, 0.0) + s.seconds
+        # the collective rides on every task row over one interval
+        merges = {(s.t0_ns, s.t1_ns) for s in rt.spans
+                  if s.name == StepNames.MERGECC}
+        assert len(merges) == 1
+        assert len(rt.per_task_step_seconds(StepNames.MERGECC)) == (
+            clocked.config.n_tasks
+        )
+        (t0, t1), = merges
+        expected[StepNames.MERGECC] = (t1 - t0) / 1e9
+        assert clocked.measured.seconds == pytest.approx(expected)
+
+    def test_work_view_bounds_critical_path(self, clocked):
+        critical = clocked.telemetry.breakdown()
+        for step, seconds in critical.items():
+            assert clocked.measured.get(step) >= seconds - 1e-12, step
 
 
 class TestAcceptance:
@@ -134,28 +201,31 @@ class TestAcceptance:
                 executor=engine,
                 dataplane=dataplane,
                 max_workers=2,
-                telemetry=True,
             )
             totals.append(result.telemetry.counter_totals())
         assert totals[0] == totals[1]  # bit-identity extends to accounting
 
 
 class TestLifecycle:
-    def test_disabled_run_has_no_telemetry(self, tiny_hg):
-        result = run(tiny_hg, n_tasks=1, n_passes=1)
-        assert result.telemetry is None
+    def test_default_process_run_deactivates_and_sweeps(self, tiny_hg):
+        before = set(glob.glob(tempfile.gettempdir() + "/metaprep-telemetry-*"))
+        result = run(
+            tiny_hg, executor="process", dataplane="shared", max_workers=2
+        )
+        assert result.telemetry.spans
         assert not telemetry.enabled()  # nothing leaked onto this thread
+        after = set(glob.glob(tempfile.gettempdir() + "/metaprep-telemetry-*"))
+        assert after == before
 
     def test_memory_only_mode_leaves_no_files(self, tiny_hg):
         before = set(glob.glob(tempfile.gettempdir() + "/metaprep-telemetry-*"))
-        result = run(tiny_hg, n_tasks=1, n_passes=1, telemetry=True)
-        assert result.telemetry is not None
+        result = run(tiny_hg, n_tasks=1, n_passes=1)
         assert result.telemetry.spans
         after = set(glob.glob(tempfile.gettempdir() + "/metaprep-telemetry-*"))
         assert after == before
 
     def test_driver_deactivated_after_run(self, tiny_hg):
-        run(tiny_hg, n_tasks=1, n_passes=1, telemetry=True)
+        run(tiny_hg, n_tasks=1, n_passes=1)
         assert not telemetry.enabled()
 
 
@@ -185,7 +255,6 @@ class TestCrashInjection:
 
         cfg = PipelineConfig(
             k=27, m=5, n_tasks=1, n_threads=2, write_outputs=False,
-            telemetry=True,
         )
         with pytest.raises(RuntimeError, match="injected crash"):
             MetaPrep(cfg).run(tiny_hg.units, events=bomb)
