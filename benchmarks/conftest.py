@@ -82,7 +82,6 @@ class BenchContext:
                 n_threads=n_threads,
                 n_passes=n_passes,
                 n_chunks=n_chunks,
-                write_outputs=False,
                 **config_kw,
             )
             self._runs[key] = MetaPrep(cfg).run(

@@ -98,7 +98,6 @@ def main() -> int:
             n_passes=N_PASSES,
             executor=executor,
             max_workers=2,
-            write_outputs=False,
             **overrides,
         )
         t0 = time.perf_counter()

@@ -36,7 +36,6 @@ def _timed_run(ctx, executor):
         n_threads=2,
         n_passes=2,
         n_chunks=32,
-        write_outputs=False,
         executor=executor,
         max_workers=N_WORKERS,
     )

@@ -93,7 +93,7 @@ def test_table5_tables_are_reusable(ctx, index_results, benchmark, tmp_path_fact
         merhist_seconds=0.0,
     )
     cfg = PipelineConfig(
-        k=27, m=BENCH_M, n_tasks=2, n_threads=2, write_outputs=False
+        k=27, m=BENCH_M, n_tasks=2, n_threads=2
     )
     a = MetaPrep(cfg).run(ctx.dataset("HG").units, index=reloaded)
     b = ctx.run("HG", n_tasks=2, n_threads=2, n_passes=1, n_chunks=24)

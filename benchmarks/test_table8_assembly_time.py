@@ -33,8 +33,7 @@ def partitions(ctx, tmp_path_factory):
             outdir = tmp_path_factory.mktemp(f"t8_{name}_{label}")
             kw = {"kmer_filter": kfilter} if kfilter else {}
             cfg = PipelineConfig(
-                k=27, m=6, n_tasks=1, n_threads=4, n_chunks=32,
-                write_outputs=True, **kw,
+                k=27, m=6, n_tasks=1, n_threads=4, n_chunks=32, **kw,
             )
             res = MetaPrep(cfg).run(
                 ds.units, output_dir=outdir, index=ctx.index(name, 27, 32)

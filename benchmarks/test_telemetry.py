@@ -40,7 +40,7 @@ ROUNDS = 3
 PROBE_CALLS = 200_000
 RESULT_PATH = Path(__file__).parent.parent / "BENCH_telemetry.json"
 
-CFG = dict(k=27, m=6, n_tasks=2, n_threads=2, n_passes=2, write_outputs=False)
+CFG = dict(k=27, m=6, n_tasks=2, n_threads=2, n_passes=2)
 
 
 def _units(bench_root):

@@ -35,7 +35,6 @@ def main() -> int:
         m=6,
         n_threads=4,
         kmer_filter=FrequencyFilter(max_freq=30),
-        write_outputs=True,
     )
     prep = MetaPrep(config).run(dataset.units, output_dir=workdir / "parts")
     print(

@@ -35,7 +35,7 @@ def main() -> int:
 
     # 1. partition
     prep = MetaPrep(
-        PipelineConfig(k=27, m=6, n_threads=4, write_outputs=True)
+        PipelineConfig(k=27, m=6, n_threads=4)
     ).run(dataset.units, output_dir=workdir / "parts")
     print(
         f"partitioned: LC {prep.partition.summary.largest_component_percent:.1f}%"

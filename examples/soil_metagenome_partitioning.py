@@ -66,7 +66,6 @@ def main() -> int:
         n_passes=None,  # derive from the budget
         memory_budget_per_task=budget,
         n_chunks=n_chunks,
-        write_outputs=False,
     )
     print(
         f"per-task memory budget: {human_bytes(budget)} "

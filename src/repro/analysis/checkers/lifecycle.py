@@ -55,7 +55,7 @@ KIND_RULES = {
 #: kind -> exempt modules/prefixes (the implementations of the lifecycle)
 KIND_EXEMPT = {
     "shm": ("runtime/buffers.py",),
-    "spill": ("runtime/spill.py", "core/checkpoint.py"),
+    "spill": ("runtime/spill.py",),
     "spool": ("telemetry/",),
     # connect_with_retry itself wraps socket.create_connection and is
     # obliged to return the live socket to its caller

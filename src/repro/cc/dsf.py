@@ -14,7 +14,7 @@ the paper's, not a simplification.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -252,15 +252,3 @@ class DisjointSetForest:
             return 0
         unions, _, _ = self.process_edges(nontrivial, other_parent[nontrivial])
         return unions
-
-    @staticmethod
-    def build_from_edges(
-        n_vertices: int, edges: Iterable[Tuple[int, int]]
-    ) -> "DisjointSetForest":
-        """Convenience constructor for tests."""
-        forest = DisjointSetForest(n_vertices)
-        es = list(edges)
-        if es:
-            us, vs = zip(*es)
-            forest.process_edges(np.asarray(us), np.asarray(vs))
-        return forest

@@ -101,7 +101,6 @@ def cmd_run(args) -> int:
         n_chunks=args.chunks,
         kmer_filter=FrequencyFilter.parse(args.filter),
         machine=args.machine,
-        write_outputs=args.out is not None,
         executor=args.executor,
         max_workers=args.workers,
         worker_addresses=tuple(args.worker or ()),
@@ -548,6 +547,12 @@ def cmd_cancel(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # option choices come from the registries config validation uses
+    from repro.runtime.buffers import DATAPLANE_NAMES
+    from repro.runtime.executor import EXECUTOR_NAMES
+    from repro.runtime.machines import MACHINE_NAMES
+    from repro.runtime.spill import SPILL_NAMES
+
     parser = argparse.ArgumentParser(
         prog="metaprep",
         description="METAPREP: parallel metagenome preprocessing (reproduction)",
@@ -594,11 +599,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
         help="k-mer frequency filter: 'none', '<30', or '10:30'",
     )
-    p.add_argument("--machine", default="edison", choices=("edison", "ganga"))
+    p.add_argument("--machine", default="edison", choices=MACHINE_NAMES)
     p.add_argument(
         "--executor",
         default="serial",
-        choices=("serial", "process", "distributed"),
+        choices=EXECUTOR_NAMES,
         help="execution backend: inline (serial), a multiprocessing "
         "pool (process), or metaprep worker daemons (distributed); "
         "results are bit-identical",
@@ -621,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dataplane",
         default="auto",
-        choices=("auto", "heap", "shared"),
+        choices=DATAPLANE_NAMES,
         help="tuple-buffer backing: heap ndarrays, shared-memory "
         "segments, or auto (pick per executor)",
     )
@@ -636,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--spill",
         default="auto",
-        choices=("auto", "never", "always"),
+        choices=SPILL_NAMES,
         help="out-of-core mode: spill per-owner tuple blocks to disk "
         "between stage barriers (auto: only passes whose in-memory "
         "residency exceeds --budget-mb)",
@@ -728,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--executor",
         default=None,
-        choices=("serial", "process", "distributed"),
+        choices=EXECUTOR_NAMES,
         help="override every job's execution backend",
     )
     p.add_argument("--workers", type=int, default=None,
@@ -791,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-jobs", type=int, default=2,
                    help="concurrent job limit of the embedded daemon")
     p.add_argument("--executor", default=None,
-                   choices=("serial", "process", "distributed"),
+                   choices=EXECUTOR_NAMES,
                    help="override every job's execution backend")
     p.add_argument("--workers", type=int, default=None,
                    help="override worker count for process-backend jobs")
@@ -857,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
         "calibrate", help="measure this host's kernel throughputs"
     )
     p.add_argument("--full", action="store_true", help="larger problem sizes")
-    p.add_argument("--machine", default="edison", choices=("edison", "ganga"))
+    p.add_argument("--machine", default="edison", choices=MACHINE_NAMES)
     _add_common(p)
     p.set_defaults(func=cmd_calibrate)
 

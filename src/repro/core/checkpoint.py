@@ -31,29 +31,6 @@ _LOG = get_logger("core.checkpoint")
 _SCHEMA = "metaprep/checkpoint"
 
 
-def save_block_spill(path: str | os.PathLike, block, length: int | None = None) -> None:
-    """Spill a :class:`~repro.runtime.buffers.TupleBlock` to disk.
-
-    Thin alias for :func:`repro.runtime.spill.write_spill`, which owns
-    the block-spill wire format (the out-of-core pipeline and this
-    checkpoint path share it byte for byte).
-    """
-    from repro.runtime.spill import write_spill
-
-    write_spill(path, block, length)
-
-
-def load_block_spill(path: str | os.PathLike, pool):
-    """Load a spilled TupleBlock into a fresh block from ``pool``.
-
-    Thin alias for :func:`repro.runtime.spill.read_spill`; returns the
-    filled block (capacity == spilled length).
-    """
-    from repro.runtime.spill import read_spill
-
-    return read_spill(path, pool)
-
-
 def payload_fingerprint(payload: dict) -> str:
     """Stable 32-hex-digit digest of a JSON-serializable payload.
 
@@ -75,12 +52,7 @@ def payload_fingerprint(payload: dict) -> str:
 #:
 #: * ``executor`` / ``max_workers`` — both engines are bit-identical by
 #:   the differential contract of :mod:`repro.runtime.executor`;
-#: * ``write_outputs`` — toggles emission of the partitioned FASTQ files,
-#:   not the labels the artifact store caches;
 #: * ``machine`` — only feeds the timing projection;
-#: * ``verify_static_counts`` — a pure assertion;
-#: * ``radix_skip_constant`` — a sort-internal shortcut that leaves the
-#:   sorted order unchanged;
 #: * ``n_passes`` / ``memory_budget_per_task`` / ``n_chunks`` — the
 #:   pass/chunk decomposition; the merge step makes labels independent of
 #:   how work was split (verified by the pass-count invariance tests);
@@ -103,10 +75,7 @@ PARTITION_IRRELEVANT_FIELDS = frozenset(
         "executor",
         "max_workers",
         "worker_addresses",
-        "write_outputs",
         "machine",
-        "verify_static_counts",
-        "radix_skip_constant",
         "n_passes",
         "memory_budget_per_task",
         "n_chunks",
@@ -122,8 +91,8 @@ def config_payload(config: PipelineConfig) -> dict:
     """The configuration fields that determine a run's output partition.
 
     Excludes the :data:`PARTITION_IRRELEVANT_FIELDS` — knobs that only
-    change *how* the answer is computed (executor, worker count, output
-    writing) — results are bit-identical across those by the executor
+    change *how* the answer is computed (executor, worker count, spill
+    mode) — results are bit-identical across those by the executor
     determinism contract.  The returned dict must stay a literal so
     ``metaprep check`` can verify fingerprint coverage statically.
     """

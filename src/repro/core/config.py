@@ -15,13 +15,18 @@ from repro.kmers.codec import MAX_K_TWO_LIMB, KmerCodec
 from repro.kmers.filter import FrequencyFilter
 from repro.runtime.buffers import DATAPLANE_NAMES
 from repro.runtime.executor import EXECUTOR_NAMES
+from repro.runtime.machines import MACHINE_NAMES
 from repro.runtime.spill import SPILL_NAMES
 from repro.util.validation import check_in_range, check_positive
 
 
 @dataclass
 class PipelineConfig:
-    """All knobs of a METAPREP run."""
+    """All knobs of a METAPREP run.
+
+    Partitioned FASTQ files (the CC-I/O step) are written exactly when
+    :meth:`repro.core.pipeline.MetaPrep.run` is given an ``output_dir``.
+    """
 
     #: k-mer length; 27 in most paper experiments, up to 63 supported
     #: (two-limb k-mers, 20-byte tuples — paper section 4.4).
@@ -49,21 +54,9 @@ class PipelineConfig:
     #: enumerate component ids instead of read ids on passes >= 2
     #: (LocalCC-Opt, section 3.5.1).
     localcc_opt: bool = True
-    #: machine model used for timing projection.
+    #: machine model used for timing projection, one of
+    #: :data:`repro.runtime.machines.MACHINE_NAMES` (case-insensitive).
     machine: str = "edison"
-    #: write the partitioned FASTQ output files (CC-I/O step).  Disable in
-    #: unit tests that only need the partition labels.
-    write_outputs: bool = True
-    #: radix-sort optimization: skip passes whose digit is constant.  Does
-    #: not affect the timing model (which uses the paper's nominal pass
-    #: count) — only real wall time.
-    radix_skip_constant: bool = True
-    #: sanity-check the driver-side aggregate of the static offset math
-    #: against actual counts (cheap; keep on).  Independent of this flag,
-    #: every KmerGen worker verifies its own chunk's counts before
-    #: writing — the dataplane's write offsets assume them, so that check
-    #: is structural, not optional.
-    verify_static_counts: bool = True
     #: execution backend for per-chunk KmerGen and per-owner-task
     #: LocalSort+LocalCC: ``"serial"`` (inline, the reference engine) or
     #: ``"process"`` (a real multiprocessing pool).  Both engines are
@@ -142,6 +135,13 @@ class PipelineConfig:
             )
         if self.max_workers is not None:
             check_positive("max_workers", self.max_workers)
+        # the projection runs only after every pass, MergeCC and CC-I/O;
+        # an unknown model must fail here, not there
+        if str(self.machine).lower() not in MACHINE_NAMES:
+            raise ValueError(
+                f"machine must be one of {MACHINE_NAMES}, "
+                f"got {self.machine!r}"
+            )
         self.worker_addresses = tuple(self.worker_addresses or ())
         if self.executor == "distributed":
             if not self.worker_addresses:

@@ -164,7 +164,6 @@ class _WorkerContext:
     n_tasks: int
     n_threads: int
     kmer_filter: FrequencyFilter
-    radix_skip_constant: bool
     #: the run's spool settings; workers activate the thread-local
     #: emitter from this on first job
     telemetry: TelemetrySettings
@@ -240,9 +239,9 @@ def _kmergen_chunk_task(job: _ChunkJob) -> _ChunkResult:
                 "kmergen.tuples_routed", int(counts[d]), task=job.task, aux=d
             )
 
-    # Mandatory, not gated by verify_static_counts: the write offsets
-    # assume the table-predicted counts, so a mismatch would scribble
-    # over a neighboring chunk's region.  Check before touching blocks.
+    # The write offsets assume the table-predicted counts, so a mismatch
+    # would scribble over a neighboring chunk's region.  Check before
+    # touching blocks.
     if not np.array_equal(counts, job.expected_counts):
         d = int(np.flatnonzero(counts != job.expected_counts)[0])
         raise StaticCountMismatch(
@@ -353,11 +352,7 @@ def _owner_sort_cc_task(job: _OwnerJob) -> _OwnerResult:
         start = 0
         for count in counts:
             end = start + int(count)
-            sort_stats.merge(
-                radix_sort_block(
-                    block, start, end, skip_constant=ctx.radix_skip_constant
-                )
-            )
+            sort_stats.merge(radix_sort_block(block, start, end))
             start = end
         t1 = time.perf_counter_ns()
         telemetry.record_span(
@@ -456,6 +451,10 @@ class MetaPrep:
         events=None,
     ) -> PipelineResult:
         """Partition the reads of ``units`` (paths or (R1, R2) pairs).
+
+        ``output_dir`` receives the partitioned FASTQ files (CC-I/O);
+        without it no file is written and the CC-I/O volume the timing
+        model projects is estimated from the input chunk sizes.
 
         ``index`` may carry a prebuilt :class:`IndexCreateResult` (the
         tables are reusable across runs and machines — that is their
@@ -622,7 +621,6 @@ class MetaPrep:
                 n_tasks=p_tasks,
                 n_threads=t_threads,
                 kmer_filter=cfg.kmer_filter,
-                radix_skip_constant=cfg.radix_skip_constant,
                 telemetry=collector.settings,
             )
         )
@@ -700,7 +698,7 @@ class MetaPrep:
 
         # ---- partition + CC-I/O ----------------------------------------
         partition = partition_from_parent(global_parent)
-        if cfg.write_outputs and output_dir is not None:
+        if output_dir is not None:
             t0_ns = time.perf_counter_ns()
             write_partitions(
                 partition, table, assignment, p_tasks, t_threads, output_dir
@@ -777,17 +775,16 @@ class MetaPrep:
         use_opt = cfg.localcc_opt and not is_first_pass
         spilling = spill_mgr is not None
 
-        expected = None
-        if cfg.verify_static_counts:
-            expected = send_counts_matrix(
-                table,
-                assignment,
-                spec.task_edges,
-                p_tasks,
-                t_threads,
-                spec.bin_lo,
-                spec.bin_hi,
-            )
+        # the driver-side aggregate the run's actual counts must match
+        expected = send_counts_matrix(
+            table,
+            assignment,
+            spec.task_edges,
+            p_tasks,
+            t_threads,
+            spec.bin_lo,
+            spec.bin_hi,
+        )
 
         # ---- static dataplane layout -----------------------------------
         # The index tables fix, before any k-mer is enumerated, exactly
@@ -857,9 +854,7 @@ class MetaPrep:
                 work.kmergen_tuples[p, t] += int(res.counts.sum())
                 actual_counts[p, t, :] += res.counts
 
-            if expected is not None and not np.array_equal(
-                actual_counts, expected
-            ):
+            if not np.array_equal(actual_counts, expected):
                 bad = np.argwhere(actual_counts != expected)[0]
                 p, t, d = (int(x) for x in bad)
                 raise StaticCountMismatch(

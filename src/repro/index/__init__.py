@@ -23,12 +23,7 @@ from repro.index.fastqpart import (
     build_fastqpart,
     load_chunk_reads,
 )
-from repro.index.offsets import (
-    chunk_assignment,
-    send_counts_matrix,
-    recv_counts_matrix,
-    thread_write_offsets,
-)
+from repro.index.offsets import chunk_assignment, send_counts_matrix
 from repro.index.passplan import (
     PassSpec,
     PassPlan,
@@ -37,7 +32,6 @@ from repro.index.passplan import (
     passes_for_memory_budget,
 )
 from repro.index.create import IndexCreateResult, index_create
-from repro.index.parallel import ParallelIndexStats, parallel_index_create
 
 __all__ = [
     "MerHist",
@@ -48,8 +42,6 @@ __all__ = [
     "load_chunk_reads",
     "chunk_assignment",
     "send_counts_matrix",
-    "recv_counts_matrix",
-    "thread_write_offsets",
     "PassSpec",
     "PassPlan",
     "balanced_boundaries",
@@ -57,6 +49,4 @@ __all__ = [
     "passes_for_memory_budget",
     "IndexCreateResult",
     "index_create",
-    "ParallelIndexStats",
-    "parallel_index_create",
 ]

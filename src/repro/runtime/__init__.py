@@ -30,7 +30,6 @@ from repro.runtime.executor import (
     SerialExecutor,
     available_cpu_count,
     create_engine,
-    create_executor,
 )
 from repro.runtime.machines import MachineSpec, EDISON, GANGA, get_machine
 from repro.runtime.buffers import (
@@ -47,7 +46,6 @@ from repro.runtime.buffers import (
 from repro.runtime.comm import (
     AllToAllStats,
     block_exchange_stats,
-    custom_all_to_all,
     all_to_all_schedule,
 )
 from repro.runtime.transport import (
@@ -74,7 +72,6 @@ __all__ = [
     "SerialExecutor",
     "available_cpu_count",
     "create_engine",
-    "create_executor",
     "TRANSPORT_NAMES",
     "BlockTransport",
     "PoolBlockTransport",
@@ -99,7 +96,6 @@ __all__ = [
     "open_block",
     "AllToAllStats",
     "block_exchange_stats",
-    "custom_all_to_all",
     "all_to_all_schedule",
     "RunWork",
     "StepNames",

@@ -425,6 +425,3 @@ def create_engine(
         ) from None
     return factory(max_workers=max_workers, workers=workers)
 
-
-#: backwards-compatible alias (pre-registry name)
-create_executor = create_engine

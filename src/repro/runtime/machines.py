@@ -175,6 +175,9 @@ GANGA = MachineSpec(
 
 _MACHINES = {m.name: m for m in (EDISON, GANGA)}
 
+#: registered machine-model names, in registration order
+MACHINE_NAMES = tuple(_MACHINES)
+
 
 def get_machine(name: str) -> MachineSpec:
     """Look up a machine model by name (``"edison"`` or ``"ganga"``)."""

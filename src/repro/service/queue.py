@@ -72,17 +72,43 @@ class EventLog:
         return events
 
 
+def _unloadable_record(spec: Dict, error: Exception, at: float) -> JobRecord:
+    """A terminal FAILED record for a stored job whose config no longer
+    validates (a field since removed, a value since rejected)."""
+    job = PartitionJob.from_dict(dict(spec, config={}))
+    job.config = dict(spec.get("config", {}))
+    return JobRecord(
+        job=job,
+        state=JobState.FAILED,
+        error=f"stored job config is no longer valid: {error}",
+        finished_at=at,
+    )
+
+
 def replay_records(events: EventLog) -> "Dict[str, JobRecord]":
     """Fold an event log into per-job records (insertion-ordered dict).
 
     Pure read: shared by :meth:`JobQueue.recover` (which then demotes
     orphaned running jobs) and by the client's read-only status queries.
+    A stored job whose config this version rejects replays as FAILED,
+    and its later events are skipped, so one old job cannot stop the
+    daemon from starting.
     """
     records: Dict[str, JobRecord] = {}
+    unloadable = set()
     for event in events.replay():
         if event.type == "submitted":
-            job = PartitionJob.from_dict(event.payload["job"])
+            spec = event.payload["job"]
+            try:
+                job = PartitionJob.from_dict(spec)
+            except (TypeError, ValueError) as exc:
+                _LOG.warning("job %s failed on replay: %s", event.job_id, exc)
+                records[event.job_id] = _unloadable_record(spec, exc, event.time)
+                unloadable.add(event.job_id)
+                continue
             records[job.job_id] = JobRecord(job=job)
+            continue
+        if event.job_id in unloadable:
             continue
         record = records.get(event.job_id)
         if record is None:

@@ -31,11 +31,6 @@ class TimeBreakdown:
             raise ValueError(f"negative duration for {step}: {dt}")
         self.seconds[step] = self.seconds.get(step, 0.0) + dt
 
-    def merge(self, other: "TimeBreakdown") -> "TimeBreakdown":
-        for step, dt in other.seconds.items():
-            self.add(step, dt)
-        return self
-
     @property
     def total(self) -> float:
         return sum(self.seconds.values())

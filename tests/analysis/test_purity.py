@@ -122,14 +122,14 @@ class TestReceiverInference:
         )
         assert rules(check_executor_purity(project)) == ["MP301"]
 
-    def test_create_executor_assignment_is_executor(self, make_project):
+    def test_create_engine_assignment_is_executor(self, make_project):
         project = make_project(
             {
                 "core/pipeline.py": """
-                    from repro.runtime.executor import create_executor
+                    from repro.runtime.executor import create_engine
 
                     def run(jobs):
-                        pool = create_executor("process")
+                        pool = create_engine("process")
                         return pool.map(lambda j: j, jobs)
                 """
             }

@@ -8,15 +8,17 @@ from repro.core.checkpoint import (
     CheckpointMismatch,
     CheckpointStore,
     config_fingerprint,
-    load_block_spill,
+    config_payload,
+    payload_fingerprint,
     prune_checkpoints,
-    save_block_spill,
 )
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import MetaPrep
 from repro.kmers.codec import KmerArray
 from repro.kmers.engine import KmerTuples
+from repro.kmers.filter import FrequencyFilter
 from repro.runtime.buffers import HeapBufferPool, SharedMemoryBufferPool
+from repro.runtime.spill import read_spill, write_spill
 
 
 class TestStore:
@@ -78,9 +80,29 @@ class TestFingerprint:
             cfg, 100, 1000
         )
 
+    def test_pinned_fingerprints(self):
+        # literal digests: a config field added, removed or reclassified
+        # must not move an artifact-store key or a checkpoint fingerprint
+        default = PipelineConfig()
+        assert payload_fingerprint(config_payload(default)) == (
+            "81c064849e586297640aa5e11bf9f918"
+        )
+        assert config_fingerprint(default, 1000, 50000) == (
+            "de20d58c255e848d14b717537ee351f5"
+        )
+        tuned = PipelineConfig(
+            k=31, m=6, n_tasks=2, n_threads=3, n_passes=2,
+            kmer_filter=FrequencyFilter.parse("10:30"), sampling_seed=7,
+            localcc_opt=False, machine="ganga", executor="process",
+            spill="always",
+        )
+        assert payload_fingerprint(config_payload(tuned)) == (
+            "bad7a63fd75b83e36df92df742a51d2a"
+        )
+
 
 class TestPipelineResume:
-    CFG = dict(k=27, m=5, n_tasks=2, n_threads=2, n_passes=3, write_outputs=False)
+    CFG = dict(k=27, m=5, n_tasks=2, n_threads=2, n_passes=3)
 
     def test_interrupted_run_resumes_to_same_partition(self, tiny_hg, tmp_path):
         reference = MetaPrep(PipelineConfig(**self.CFG)).run(tiny_hg.units)
@@ -173,7 +195,7 @@ class TestExecutorResume:
     """
 
     CFG = dict(
-        k=27, m=5, n_tasks=2, n_threads=2, n_passes=4, write_outputs=False
+        k=27, m=5, n_tasks=2, n_threads=2, n_passes=4
     )
 
     def _interrupted_runner(self, executor, crash_pass):
@@ -248,9 +270,9 @@ def _filled_block(pool, k, n, seed=0):
 
 
 class TestBlockSpill:
-    """The spill format is backing-agnostic: only the bytes are
-    contractual, so every (writer backing, reader backing) pairing must
-    round-trip bit-identically."""
+    """The spill format (:mod:`repro.runtime.spill`) is backing-agnostic:
+    only the bytes are contractual, so every (writer backing, reader
+    backing) pairing must round-trip bit-identically."""
 
     @pytest.mark.parametrize("k", [21, 33])
     @pytest.mark.parametrize("src", ["heap", "shared"])
@@ -263,8 +285,8 @@ class TestBlockSpill:
         try:
             block = _filled_block(pools[src], k, 40)
             path = tmp_path / "spill.bin"
-            save_block_spill(path, block)
-            back = load_block_spill(path, pools[dst])
+            write_spill(path, block)
+            back = read_spill(path, pools[dst])
             assert back.capacity == 40
             a, b = block.view(0, 40), back.view(0, 40)
             assert np.array_equal(a.kmers.lo, b.kmers.lo)
@@ -278,8 +300,8 @@ class TestBlockSpill:
         pool = HeapBufferPool()
         block = _filled_block(pool, 21, 40)
         path = tmp_path / "spill.bin"
-        save_block_spill(path, block, length=12)
-        back = load_block_spill(path, pool)
+        write_spill(path, block, length=12)
+        back = read_spill(path, pool)
         assert back.capacity == 12
         a, b = block.view(0, 12), back.view(0, 12)
         assert np.array_equal(a.kmers.lo, b.kmers.lo)
@@ -288,15 +310,15 @@ class TestBlockSpill:
     def test_spill_publish_is_atomic(self, tmp_path):
         block = _filled_block(HeapBufferPool(), 21, 8)
         path = tmp_path / "spill.bin"
-        save_block_spill(path, block)
+        write_spill(path, block)
         assert path.exists()
         assert not path.with_suffix(".tmp").exists()
 
     def test_empty_block_roundtrip(self, tmp_path):
         pool = HeapBufferPool()
         path = tmp_path / "spill.bin"
-        save_block_spill(path, pool.allocate(21, 0))
-        back = load_block_spill(path, pool)
+        write_spill(path, pool.allocate(21, 0))
+        back = read_spill(path, pool)
         assert back.capacity == 0
 
 

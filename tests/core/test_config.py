@@ -26,6 +26,11 @@ class TestDefaults:
 
 
 class TestValidation:
+    def test_unknown_machine_rejected(self):
+        with pytest.raises(ValueError, match="machine must be one of"):
+            PipelineConfig(machine="nope")
+        assert PipelineConfig(machine="GANGA").machine == "GANGA"
+
     def test_k_bounds(self):
         with pytest.raises(ValueError):
             PipelineConfig(k=1)

@@ -9,7 +9,7 @@ from repro.seqio.fastq import read_fastq
 def written(tiny_hg, tmp_path_factory):
     out = tmp_path_factory.mktemp("parts")
     cfg = PipelineConfig(
-        k=27, m=5, n_tasks=2, n_threads=2, write_outputs=True
+        k=27, m=5, n_tasks=2, n_threads=2
     )
     res = MetaPrep(cfg).run(tiny_hg.units, output_dir=out)
     return res, out

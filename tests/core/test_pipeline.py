@@ -12,14 +12,14 @@ from repro.runtime.work import StepNames
 
 
 def run(tiny_hg, **kwargs):
-    defaults = dict(k=27, m=5, n_tasks=1, n_threads=2, write_outputs=False)
+    defaults = dict(k=27, m=5, n_tasks=1, n_threads=2)
     defaults.update(kwargs)
     return MetaPrep(PipelineConfig(**defaults)).run(tiny_hg.units)
 
 
 @pytest.fixture(scope="module")
 def baseline(tiny_hg):
-    cfg = PipelineConfig(k=27, m=5, n_tasks=1, n_threads=2, write_outputs=False)
+    cfg = PipelineConfig(k=27, m=5, n_tasks=1, n_threads=2)
     return MetaPrep(cfg).run(tiny_hg.units)
 
 
@@ -96,7 +96,7 @@ class TestDecompositionInvariance:
 
 class TestStaticCounts:
     def test_verification_enabled_passes(self, tiny_hg):
-        res = run(tiny_hg, n_tasks=2, n_threads=2, verify_static_counts=True)
+        res = run(tiny_hg, n_tasks=2, n_threads=2)
         assert res.total_tuples > 0
 
     def test_comm_only_multi_task(self, tiny_hg):
@@ -158,7 +158,7 @@ class TestAutoPasses:
         idx = index_create(tiny_hg.units, k=27, m=4, n_chunks=4)
         with pytest.raises(ValueError, match="index built for"):
             MetaPrep(
-                PipelineConfig(k=27, m=5, write_outputs=False)
+                PipelineConfig(k=27, m=5)
             ).run(tiny_hg.units, index=idx)
 
 
@@ -217,7 +217,7 @@ class TestDegenerateInputs:
     def test_zero_chunk_table_runs(self, executor):
         index = self._zero_chunk_index()
         cfg = PipelineConfig(
-            k=21, m=4, n_tasks=2, n_threads=2, write_outputs=False,
+            k=21, m=4, n_tasks=2, n_threads=2,
             executor=executor, max_workers=2,
         )
         res = MetaPrep(cfg).run([], index=index)
@@ -234,7 +234,7 @@ class TestDegenerateInputs:
         empty.write_text("")
         units = list(tiny_hg.units) + [str(empty)]
         idx = index_create(units, k=27, m=5, n_chunks=8)
-        cfg = PipelineConfig(k=27, m=5, n_tasks=1, n_threads=2, write_outputs=False)
+        cfg = PipelineConfig(k=27, m=5, n_tasks=1, n_threads=2)
         res = MetaPrep(cfg).run(units, index=idx)
         assert np.array_equal(res.partition.labels, baseline.partition.labels)
 
@@ -243,5 +243,5 @@ class TestDegenerateInputs:
         empty.write_text("")
         with pytest.raises(ValueError, match="no reads"):
             MetaPrep(
-                PipelineConfig(k=21, m=4, write_outputs=False)
+                PipelineConfig(k=21, m=4)
             ).run([str(empty)])

@@ -238,6 +238,14 @@ class TestAdmission:
             client_of(idle).submit(["/nonexistent/file.fastq"], config=CFG)
         assert err.value.status == 400
 
+    def test_unknown_machine_is_400_at_submit(self, idle, tiny_hg):
+        with pytest.raises(GatewayError) as err:
+            client_of(idle).submit(
+                tiny_hg.units, config=dict(CFG, machine="nope")
+            )
+        assert err.value.status == 400
+        assert "machine" in str(err.value)
+
 
 # ----------------------------------------------------------------------
 # framing abuse: the server must answer 400, never die

@@ -39,10 +39,10 @@ class TestIndexCreate:
 
         index = index_create(tiny_hg.units, k=27, m=5, n_chunks=8)
         r1 = MetaPrep(
-            PipelineConfig(k=27, m=5, n_tasks=1, n_threads=2, write_outputs=False)
+            PipelineConfig(k=27, m=5, n_tasks=1, n_threads=2)
         ).run(tiny_hg.units, index=index)
         r2 = MetaPrep(
-            PipelineConfig(k=27, m=5, n_tasks=2, n_threads=2, write_outputs=False)
+            PipelineConfig(k=27, m=5, n_tasks=2, n_threads=2)
         ).run(tiny_hg.units, index=index)
         assert np.array_equal(
             r1.partition.labels, r2.partition.labels

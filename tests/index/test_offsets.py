@@ -4,9 +4,9 @@ import pytest
 from repro.index.fastqpart import build_fastqpart, load_chunk_reads
 from repro.index.offsets import (
     chunk_assignment,
-    recv_counts_matrix,
+    chunk_send_counts,
+    recv_write_offsets,
     send_counts_matrix,
-    thread_write_offsets,
 )
 from repro.index.passplan import balanced_boundaries
 from repro.kmers.engine import enumerate_canonical_kmers
@@ -98,53 +98,65 @@ class TestSendCounts:
             )
 
 
+def _layout(table, P, T):
+    """The pipeline's pass layout: per-chunk counts, their receive-side
+    offsets, and the per-thread send counts of the same decomposition."""
+    assignment = chunk_assignment(table.n_chunks, P, T)
+    edges = balanced_boundaries(table.global_histogram(), P)
+    per_chunk = chunk_send_counts(table, edges, P)
+    send = send_counts_matrix(table, assignment, edges, P, T)
+    return assignment, per_chunk, send, recv_write_offsets(per_chunk, assignment, P, T)
+
+
 class TestRecvCounts:
     def test_transpose_relation(self, table):
         P, T = 2, 2
-        assignment = chunk_assignment(table.n_chunks, P, T)
-        edges = balanced_boundaries(table.global_histogram(), P)
-        send = send_counts_matrix(table, assignment, edges, P, T)
-        recv = recv_counts_matrix(send)
+        _, _, send, (_, sender_splits, _) = _layout(table, P, T)
+        # source p's region in destination d's block holds what p's
+        # threads send to d
         for p in range(P):
-            for q in range(P):
-                assert recv[p, q] == send[q, :, p].sum()
+            for d in range(P):
+                region = sender_splits[p + 1, d] - sender_splits[p, d]
+                assert region == send[p, :, d].sum()
 
     def test_conservation(self, table):
         P, T = 4, 1
-        assignment = chunk_assignment(table.n_chunks, P, T)
-        edges = balanced_boundaries(table.global_histogram(), P)
-        send = send_counts_matrix(table, assignment, edges, P, T)
-        recv = recv_counts_matrix(send)
-        assert recv.sum() == send.sum()
+        _, per_chunk, send, (_, _, totals) = _layout(table, P, T)
+        assert np.array_equal(totals, send.sum(axis=(0, 1)))
+        assert totals.sum() == per_chunk.sum() == send.sum()
 
 
-class TestThreadWriteOffsets:
-    def test_layout_destination_major_thread_minor(self, table):
-        P, T = 2, 2
-        assignment = chunk_assignment(table.n_chunks, P, T)
-        edges = balanced_boundaries(table.global_histogram(), P)
-        send = send_counts_matrix(table, assignment, edges, P, T)
-        offsets = thread_write_offsets(send)
-        assert len(offsets) == P
-        for p in range(P):
-            off = offsets[p]
-            assert off.shape == (T + 1, P)
-            # block d starts where block d-1 ends
-            for d in range(1, P):
-                assert off[0, d] == off[T, d - 1]
-            # within a block, thread t's region is exactly its count
-            for d in range(P):
-                for t in range(T):
-                    assert off[t + 1, d] - off[t, d] == send[p, t, d]
-            # final end == total tuples of task p
-            assert off[T, P - 1] == send[p].sum()
+class TestRecvWriteOffsets:
+    def test_layout_source_major_chunk_minor(self, table):
+        P, T = 2, 3
+        assignment, per_chunk, _, (offsets, sender_splits, totals) = _layout(
+            table, P, T
+        )
+        tasks = assignment // T
+        for d in range(P):
+            # chunks in receive order tile the block exactly: source task
+            # ascending, then chunk id ascending, no gaps, no overlap
+            order = sorted(range(table.n_chunks), key=lambda c: (tasks[c], c))
+            end = 0
+            for c in order:
+                assert offsets[c, d] == end
+                end += per_chunk[c, d]
+            assert end == totals[d]
+            # every chunk writes inside its source task's region
+            for c in range(table.n_chunks):
+                p = tasks[c]
+                assert sender_splits[p, d] <= offsets[c, d]
+                assert offsets[c, d] + per_chunk[c, d] <= sender_splits[p + 1, d]
 
     def test_offsets_start_at_zero(self, table):
         P, T = 2, 3
-        assignment = chunk_assignment(table.n_chunks, P, T)
-        edges = balanced_boundaries(table.global_histogram(), P)
-        offsets = thread_write_offsets(
-            send_counts_matrix(table, assignment, edges, P, T)
-        )
-        for p in range(P):
-            assert offsets[p][0, 0] == 0
+        assignment, _, _, (offsets, sender_splits, _) = _layout(table, P, T)
+        first = min(range(table.n_chunks), key=lambda c: (assignment[c] // T, c))
+        assert np.all(offsets[first] == 0)
+        assert np.all(sender_splits[0] == 0)
+
+    def test_assignment_length_mismatch_rejected(self, table):
+        P, T = 2, 2
+        _, per_chunk, _, _ = _layout(table, P, T)
+        with pytest.raises(ValueError, match="assignment covers"):
+            recv_write_offsets(per_chunk, np.zeros(1, dtype=np.int64), P, T)

@@ -79,7 +79,6 @@ def daemons():
 def _run(tiny_hg, indexes, grid_point, executor, workers=(), spill="never"):
     cfg = PipelineConfig(
         m=M,
-        write_outputs=False,
         executor=executor,
         max_workers=2,
         worker_addresses=workers,

@@ -18,7 +18,7 @@ from repro.seqio.records import ReadBatch
 def ll_result(tiny_ll, tmp_path_factory):
     out = tmp_path_factory.mktemp("ll_parts")
     cfg = PipelineConfig(
-        k=27, m=5, n_tasks=2, n_threads=2, n_passes=2, write_outputs=True
+        k=27, m=5, n_tasks=2, n_threads=2, n_passes=2
     )
     return MetaPrep(cfg).run(tiny_ll.units, output_dir=out)
 
@@ -43,7 +43,7 @@ class TestLLEndToEnd:
     def test_ll_less_connected_than_hg(self, ll_result, tiny_hg):
         """Table 7: LL's largest component fraction is the smallest of the
         three datasets (low, skewed coverage across many species)."""
-        hg_cfg = PipelineConfig(k=27, m=5, write_outputs=False)
+        hg_cfg = PipelineConfig(k=27, m=5)
         hg = MetaPrep(hg_cfg).run(tiny_hg.units)
         assert (
             ll_result.partition.summary.largest_component_fraction
@@ -87,6 +87,6 @@ class TestCrossDatasetBehaviour:
         from repro.datasets.registry import build_dataset
 
         mm = build_dataset("MM", data_root / "mm", seed=7, scale=0.04)
-        cfg = PipelineConfig(k=27, m=5, write_outputs=False)
+        cfg = PipelineConfig(k=27, m=5)
         res = MetaPrep(cfg).run(mm.units)
         assert res.partition.summary.largest_component_fraction > 0.85

@@ -23,7 +23,7 @@ def shared_index(tiny_hg):
 @pytest.fixture(scope="module")
 def reference_labels(tiny_hg, shared_index):
     cfg = PipelineConfig(
-        k=27, m=5, n_tasks=1, n_threads=1, n_passes=1, write_outputs=False
+        k=27, m=5, n_tasks=1, n_threads=1, n_passes=1
     )
     return MetaPrep(cfg).run(tiny_hg.units, index=shared_index).partition.labels
 
@@ -35,14 +35,13 @@ CONFIGS = [
     dict(n_tasks=3, n_threads=2, n_passes=5),
     dict(n_tasks=2, n_threads=2, n_passes=2, localcc_opt=False),
     dict(n_tasks=2, n_threads=2, n_passes=1, machine="ganga"),
-    dict(n_tasks=2, n_threads=2, n_passes=2, radix_skip_constant=False),
 ]
 
 
 class TestEquivalenceMatrix:
     @pytest.mark.parametrize("overrides", CONFIGS)
     def test_same_partition(self, tiny_hg, shared_index, reference_labels, overrides):
-        cfg = PipelineConfig(k=27, m=5, write_outputs=False, **overrides)
+        cfg = PipelineConfig(k=27, m=5, **overrides)
         res = MetaPrep(cfg).run(tiny_hg.units, index=shared_index)
         assert np.array_equal(res.partition.labels, reference_labels)
 
@@ -75,7 +74,7 @@ class TestFilteredEquivalence:
     ):
         kf = FrequencyFilter(2, 25)
         cfg = PipelineConfig(
-            k=27, m=5, kmer_filter=kf, write_outputs=False, **overrides
+            k=27, m=5, kmer_filter=kf, **overrides
         )
         res = MetaPrep(cfg).run(tiny_hg.units, index=shared_index)
         got = partition_as_frozensets(
@@ -93,10 +92,10 @@ class TestWorkConservation:
         """Total tuples is decomposition-independent; total edges may only
         shrink with LocalCC-Opt (duplicate component-id pairs collapse)."""
         cfg0 = PipelineConfig(
-            k=27, m=5, n_tasks=1, n_threads=1, n_passes=1, write_outputs=False
+            k=27, m=5, n_tasks=1, n_threads=1, n_passes=1
         )
         base = MetaPrep(cfg0).run(tiny_hg.units, index=shared_index)
-        cfg = PipelineConfig(k=27, m=5, write_outputs=False, **overrides)
+        cfg = PipelineConfig(k=27, m=5, **overrides)
         res = MetaPrep(cfg).run(tiny_hg.units, index=shared_index)
         assert res.total_tuples == base.total_tuples
         assert res.work.total_edges <= base.work.total_edges

@@ -48,7 +48,6 @@ GRID = [
 def _run(tiny_hg, indexes, grid_point, executor, dataplane="auto", spill="never"):
     cfg = PipelineConfig(
         m=M,
-        write_outputs=False,
         executor=executor,
         max_workers=2,
         dataplane=dataplane,
@@ -162,8 +161,7 @@ class TestStaticChecksActiveInWorkers:
             np.uint32
         )
         cfg = PipelineConfig(
-            k=21, m=M, n_tasks=2, n_threads=2, write_outputs=False,
-            verify_static_counts=True, executor="process", max_workers=2,
+            k=21, m=M, n_tasks=2, n_threads=2, executor="process", max_workers=2,
         )
         with pytest.raises(StaticCountMismatch):
             MetaPrep(cfg).run(tiny_hg.units, index=index)

@@ -21,8 +21,7 @@ class TestCorruptIndexTables:
             np.uint32
         )
         cfg = PipelineConfig(
-            k=27, m=5, n_tasks=2, n_threads=2, write_outputs=False,
-            verify_static_counts=True,
+            k=27, m=5, n_tasks=2, n_threads=2,
         )
         with pytest.raises(StaticCountMismatch):
             MetaPrep(cfg).run(tiny_hg.units, index=index)
@@ -40,7 +39,7 @@ class TestCorruptIndexTables:
 
     def test_wrong_k_index_rejected_before_work(self, tiny_hg):
         index = index_create(tiny_hg.units, k=21, m=5, n_chunks=4)
-        cfg = PipelineConfig(k=27, m=5, write_outputs=False)
+        cfg = PipelineConfig(k=27, m=5)
         with pytest.raises(ValueError, match="index built for"):
             MetaPrep(cfg).run(tiny_hg.units, index=index)
 
@@ -90,6 +89,6 @@ class TestInputMutationBetweenIndexAndRun:
         from repro.seqio.fastq import write_fastq
 
         write_fastq(r1, records[: len(records) // 2])
-        cfg = PipelineConfig(k=27, m=5, write_outputs=False)
+        cfg = PipelineConfig(k=27, m=5)
         with pytest.raises((ValueError, FastqParseError)):
             MetaPrep(cfg).run([(str(r1), str(r2))], index=index)

@@ -60,7 +60,6 @@ def _config(tmp_path=None, **kw):
         n_tasks=N_TASKS,
         n_threads=N_THREADS,
         n_passes=N_PASSES,
-        write_outputs=False,
         **kw,
     )
 

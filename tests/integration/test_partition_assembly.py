@@ -12,7 +12,7 @@ from repro.kmers.filter import FrequencyFilter
 @pytest.fixture(scope="module")
 def partitioned(tiny_hg, tmp_path_factory):
     out = tmp_path_factory.mktemp("t89")
-    cfg = PipelineConfig(k=27, m=5, n_tasks=1, n_threads=2, write_outputs=True)
+    cfg = PipelineConfig(k=27, m=5, n_tasks=1, n_threads=2)
     res = MetaPrep(cfg).run(tiny_hg.units, output_dir=out)
     return res
 
@@ -58,7 +58,7 @@ class TestFilteredPartitionAssembly:
     def test_filter_shrinks_lc_input(self, tiny_hg, tmp_path_factory):
         out = tmp_path_factory.mktemp("t89f")
         base_cfg = PipelineConfig(
-            k=27, m=5, n_threads=2, write_outputs=False
+            k=27, m=5, n_threads=2
         )
         base = MetaPrep(base_cfg).run(tiny_hg.units)
         cfg = PipelineConfig(
@@ -66,7 +66,6 @@ class TestFilteredPartitionAssembly:
             m=5,
             n_threads=2,
             kmer_filter=FrequencyFilter(max_freq=12),
-            write_outputs=True,
         )
         res = MetaPrep(cfg).run(tiny_hg.units, output_dir=out)
         assert (

@@ -23,7 +23,7 @@ def single_end_file(tmp_path_factory, tiny_hg):
 class TestSingleEndPipeline:
     def test_runs_and_matches_oracle(self, single_end_file, tmp_path):
         cfg = PipelineConfig(
-            k=27, m=5, n_tasks=2, n_threads=2, n_passes=2, write_outputs=True
+            k=27, m=5, n_tasks=2, n_threads=2, n_passes=2
         )
         res = MetaPrep(cfg).run([single_end_file], output_dir=tmp_path)
         records = read_fastq(single_end_file)
@@ -33,7 +33,7 @@ class TestSingleEndPipeline:
         assert got == ref
 
     def test_every_read_written_once(self, single_end_file, tmp_path):
-        cfg = PipelineConfig(k=27, m=5, n_threads=2, write_outputs=True)
+        cfg = PipelineConfig(k=27, m=5, n_threads=2)
         res = MetaPrep(cfg).run([single_end_file], output_dir=tmp_path)
         n = len(read_fastq(single_end_file))
         total = (
@@ -42,13 +42,13 @@ class TestSingleEndPipeline:
         assert total == n
 
     def test_single_end_ids_unique(self, single_end_file):
-        cfg = PipelineConfig(k=27, m=5, write_outputs=False)
+        cfg = PipelineConfig(k=27, m=5)
         res = MetaPrep(cfg).run([single_end_file])
         assert res.n_reads == len(read_fastq(single_end_file))
 
     def test_mixed_single_and_paired_units(self, single_end_file, tiny_hg):
         """A single-end file plus a paired unit in one run."""
-        cfg = PipelineConfig(k=27, m=5, n_threads=2, write_outputs=False)
+        cfg = PipelineConfig(k=27, m=5, n_threads=2)
         units = [single_end_file, (tiny_hg.r1_path, tiny_hg.r2_path)]
         res = MetaPrep(cfg).run(units)
         n_single = len(read_fastq(single_end_file))

@@ -73,7 +73,6 @@ def _run(units, index, k, dataplane):
         n_tasks=2,
         n_threads=2,
         n_passes=2,
-        write_outputs=False,
         dataplane=dataplane,
     )
     return MetaPrep(cfg).run(units, index=index)

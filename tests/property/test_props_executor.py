@@ -57,7 +57,6 @@ def _run(units, index, executor, **overrides):
         n_tasks=2,
         n_threads=2,
         n_passes=2,
-        write_outputs=False,
         executor=executor,
         max_workers=2,
     )
@@ -224,8 +223,7 @@ class TestCrashResidue:
             units = [os.environ["CRASH_TEST_UNIT"]]
             index = index_create(units, k=21, m=4, n_chunks=8)
             cfg = PipelineConfig(
-                k=21, m=4, n_tasks=2, n_threads=2, n_passes=2,
-                write_outputs=False, executor="process", max_workers=2,
+                k=21, m=4, n_tasks=2, n_threads=2, n_passes=2, executor="process", max_workers=2,
             )
             try:
                 MetaPrep(cfg).run(units, index=index)

@@ -1,7 +1,45 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.runtime.comm import all_to_all_schedule, broadcast, custom_all_to_all
+from repro.runtime.comm import AllToAllStats, all_to_all_schedule, block_exchange_stats
+
+
+def custom_all_to_all(send_blocks, nbytes_of):
+    """The P-stage all-to-all, moving real payloads: the oracle for
+    :func:`block_exchange_stats`.
+
+    ``send_blocks[p][d]`` is the payload task ``p`` sends to task ``d``
+    (``nbytes_of`` sizes it).  Returns ``recv_blocks`` with
+    ``recv_blocks[d][p]`` = the payload from ``p`` (ordered by source
+    rank, whatever stage it landed in), plus the exchange stats.
+    """
+    n_tasks = len(send_blocks)
+    for p, blocks in enumerate(send_blocks):
+        if len(blocks) != n_tasks:
+            raise ValueError(
+                f"task {p} has {len(blocks)} destination blocks, "
+                f"expected {n_tasks}"
+            )
+    stats = AllToAllStats(n_tasks=n_tasks)
+    stats.bytes_matrix = np.zeros((n_tasks, n_tasks), dtype=np.int64)
+    recv = [[None] * n_tasks for _ in range(n_tasks)]
+    schedule = all_to_all_schedule(n_tasks)
+    stats.n_stages = len(schedule)
+    for pairs in schedule:
+        stage_max = 0
+        for sender, receiver in pairs:
+            payload = send_blocks[sender][receiver]
+            size = nbytes_of(payload)
+            stats.bytes_matrix[sender, receiver] += size
+            if sender != receiver:
+                stats.wire_bytes_total += size
+                stats.n_messages += 1
+                stage_max = max(stage_max, size)
+            recv[receiver][sender] = payload
+        stats.max_message_bytes_per_stage.append(stage_max)
+    return recv, stats
 
 
 class TestSchedule:
@@ -35,6 +73,8 @@ class TestSchedule:
 
 
 class TestCustomAllToAll:
+    """The oracle itself: delivery and byte accounting of the schedule."""
+
     def _blocks(self, p, rng):
         return [
             [rng.integers(0, 100, size=int(rng.integers(0, 20))) for _ in range(p)]
@@ -90,28 +130,32 @@ class TestCustomAllToAll:
         with pytest.raises(ValueError):
             custom_all_to_all([[1, 2], [1]], nbytes_of=lambda x: 0)
 
-    def test_max_bytes_sent_by_task(self, rng):
-        p = 3
-        blocks = self._blocks(p, rng)
-        _, stats = custom_all_to_all(blocks, nbytes_of=lambda a: a.nbytes)
-        per_task = [
-            sum(blocks[s][d].nbytes for d in range(p) if d != s)
-            for s in range(p)
-        ]
-        assert stats.max_bytes_sent_by_task == max(per_task)
+
+@st.composite
+def count_matrices(draw):
+    p = draw(st.integers(min_value=1, max_value=8))
+    cells = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=2**40),
+            min_size=p * p,
+            max_size=p * p,
+        )
+    )
+    return np.asarray(cells, dtype=np.int64).reshape(p, p)
 
 
-class TestBroadcast:
-    def test_everyone_receives(self):
-        copies, wire = broadcast("payload", 5, nbytes_of=lambda s: len(s))
-        assert len(copies) == 5
-        assert all(c == "payload" for c in copies)
-
-    def test_binomial_tree_bytes(self):
-        # P=8: rounds send 1, 2, 4 copies -> 7 transmissions
-        _, wire = broadcast(b"x" * 10, 8, nbytes_of=len)
-        assert wire == 7 * 10
-
-    def test_single_task_no_wire(self):
-        _, wire = broadcast("x", 1, nbytes_of=len)
-        assert wire == 0
+@settings(max_examples=100, deadline=None)
+@given(counts=count_matrices(), tuple_bytes=st.sampled_from([12, 20]))
+def test_block_exchange_stats_equal_payload_simulation(counts, tuple_bytes):
+    """The count-only accounting the pipeline uses equals moving payloads
+    of ``counts[p, d] * tuple_bytes`` bytes through the P-stage schedule."""
+    p = counts.shape[0]
+    sizes = counts * tuple_bytes
+    blocks = [[int(sizes[s, d]) for d in range(p)] for s in range(p)]
+    _, expected = custom_all_to_all(blocks, nbytes_of=lambda size: size)
+    got = block_exchange_stats(counts, tuple_bytes)
+    assert np.array_equal(got.bytes_matrix, expected.bytes_matrix)
+    assert got.wire_bytes_total == expected.wire_bytes_total
+    assert got.n_messages == expected.n_messages
+    assert got.n_stages == expected.n_stages
+    assert got.max_message_bytes_per_stage == expected.max_message_bytes_per_stage

@@ -397,21 +397,3 @@ class TestStaleSweep:
         stale.mkdir()
         with SpillManager(tmp_path):
             assert not stale.exists()
-
-
-class TestCheckpointDelegation:
-    def test_checkpoint_aliases_round_trip(self, pool, tmp_path):
-        """The historical checkpoint entry points stay byte-compatible:
-        they are thin aliases of the spill module now."""
-        from repro.core.checkpoint import load_block_spill, save_block_spill
-
-        block, tuples = make_block(pool, 33, 29)
-        path = tmp_path / "ckpt.bin"
-        save_block_spill(path, block)
-        got = load_block_spill(path, pool)
-        view = got.view(0, 29)
-        assert np.array_equal(view.kmers.lo, tuples.kmers.lo)
-        assert np.array_equal(view.kmers.hi, tuples.kmers.hi)
-        assert np.array_equal(view.read_ids, tuples.read_ids)
-        pool.release(block)
-        pool.release(got)

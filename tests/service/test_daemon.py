@@ -79,7 +79,7 @@ class TestEndToEndCache:
         assert np.array_equal(labels1, labels2)
         assert info1["artifact_key"] == info2["artifact_key"]
         direct = MetaPrep(
-            PipelineConfig(write_outputs=False, **CFG)
+            PipelineConfig(**CFG)
         ).run(tiny_hg.units)
         assert np.array_equal(labels1, direct.partition.labels)
         assert info1["n_components"] == direct.partition.summary.n_components
@@ -128,7 +128,7 @@ class TestCrashRetryResume:
     ):
         cfg = dict(CFG, n_passes=3)
         reference = MetaPrep(
-            PipelineConfig(write_outputs=False, **cfg)
+            PipelineConfig(**cfg)
         ).run(tiny_hg.units)
 
         _FAULT["marker"] = str(tmp_path / "crashed-once")

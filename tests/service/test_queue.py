@@ -14,6 +14,7 @@ from repro.service.jobs import (
     JobTimeout,
     PartitionJob,
 )
+from repro.service.client import ServiceClient
 from repro.service.queue import (
     EventLog,
     JobControl,
@@ -131,6 +132,40 @@ class TestJobQueue:
         types = [e.type for e in fresh.events.replay()
                  if e.job_id == orphan.job_id]
         assert types[-1] == "recovered"
+
+    @pytest.mark.parametrize(
+        "stale, field",
+        [({"telemetry": True}, "telemetry"), ({"machine": "nope"}, "machine")],
+    )
+    def test_recover_fails_job_whose_config_no_longer_validates(
+        self, tmp_path, fastq, stale, field
+    ):
+        queue = JobQueue(tmp_path)
+        ok = queue.submit(make_job(fastq))
+        # a job stored by an older version, which accepted this config
+        spec = dict(make_job(fastq).to_dict(), config=dict(stale, k=21, m=4))
+        queue.events.append(JobEvent(
+            job_id=spec["job_id"], type="submitted", state=JobState.QUEUED,
+            payload={"job": spec},
+        ))
+        queue.events.append(JobEvent(
+            job_id=spec["job_id"], type="started", state=JobState.RUNNING,
+            attempt=1,
+        ))
+        after = queue.submit(make_job(fastq))
+
+        fresh = JobQueue(tmp_path)  # the daemon restarts on the old spool
+        assert fresh.recover() == 0
+        stored = fresh.get(spec["job_id"])
+        assert stored.state == JobState.FAILED
+        assert field in stored.error
+        assert stored.job.config == spec["config"]
+        assert fresh.get(ok.job_id).state == JobState.QUEUED
+        assert [r.job_id for r in fresh.pending()] == [ok.job_id, after.job_id]
+        # read-only status queries replay the same log
+        status = ServiceClient(tmp_path).status(spec["job_id"])
+        assert status["state"] == JobState.FAILED
+        assert field in status["error"]
 
 
 class TestRetryPolicy:

@@ -51,7 +51,7 @@ def clean_state():
 
 def run(tiny_hg, tmp_path=None, **kwargs):
     defaults = dict(
-        k=27, m=5, n_tasks=2, n_threads=2, n_passes=2, write_outputs=False
+        k=27, m=5, n_tasks=2, n_threads=2, n_passes=2
     )
     defaults.update(kwargs)
     cfg = PipelineConfig(**defaults)
@@ -71,7 +71,6 @@ def telemetered(request, tiny_hg, tmp_path_factory):
         dataplane=dataplane,
         max_workers=2,
         telemetry_dir=str(directory / "tele"),
-        write_outputs=True,
     )
     return result, directory / "tele"
 
@@ -94,7 +93,7 @@ def clocked(request, tiny_hg, tmp_path_factory):
         daemons = request.getfixturevalue("daemons")
         kwargs["worker_addresses"] = tuple(d.address for d in daemons)
     directory = tmp_path_factory.mktemp(f"clock-{request.param}")
-    return run(tiny_hg, tmp_path=directory, write_outputs=True, **kwargs)
+    return run(tiny_hg, tmp_path=directory, **kwargs)
 
 
 class TestOneClock:
@@ -238,8 +237,7 @@ class TestCrashInjection:
                 raise RuntimeError("injected crash")
 
         cfg = PipelineConfig(
-            k=27, m=5, n_tasks=2, n_threads=2, n_passes=2,
-            write_outputs=False, telemetry_dir=str(tele_dir),
+            k=27, m=5, n_tasks=2, n_threads=2, n_passes=2, telemetry_dir=str(tele_dir),
         )
         with pytest.raises(RuntimeError, match="injected crash"):
             MetaPrep(cfg).run(tiny_hg.units, events=bomb)
@@ -254,7 +252,7 @@ class TestCrashInjection:
                 raise RuntimeError("injected crash")
 
         cfg = PipelineConfig(
-            k=27, m=5, n_tasks=1, n_threads=2, write_outputs=False,
+            k=27, m=5, n_tasks=1, n_threads=2,
         )
         with pytest.raises(RuntimeError, match="injected crash"):
             MetaPrep(cfg).run(tiny_hg.units, events=bomb)
@@ -262,11 +260,11 @@ class TestCrashInjection:
         assert after == before
 
     def test_crashed_process_worker_leaves_no_spool(self, tiny_hg, tmp_path):
-        # verify_static_counts failure path raises inside the pass
+        # the run aborts after a pass, with the worker pool still up
         tele_dir = tmp_path / "tele"
         cfg = PipelineConfig(
             k=27, m=5, n_tasks=2, n_threads=2, n_passes=2,
-            write_outputs=False, executor="process", dataplane="shared",
+            executor="process", dataplane="shared",
             max_workers=2, telemetry_dir=str(tele_dir),
         )
 

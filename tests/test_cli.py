@@ -1,6 +1,12 @@
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime.buffers import DATAPLANE_NAMES
+from repro.runtime.executor import EXECUTOR_NAMES
+from repro.runtime.machines import MACHINE_NAMES
+from repro.runtime.spill import SPILL_NAMES
 
 
 class TestParser:
@@ -19,6 +25,32 @@ class TestParser:
     def test_missing_subcommand_errors(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_registry_choices(self):
+        registries = {
+            "executor": EXECUTOR_NAMES,
+            "dataplane": DATAPLANE_NAMES,
+            "spill": SPILL_NAMES,
+            "machine": MACHINE_NAMES,
+        }
+        (subparsers,) = [
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        seen = {}
+        for command, parser in subparsers.choices.items():
+            for action in parser._actions:
+                if action.dest in registries:
+                    assert tuple(action.choices) == registries[action.dest], (
+                        command, action.dest,
+                    )
+                    seen.setdefault(action.dest, []).append(command)
+        assert seen == {
+            "executor": ["run", "serve", "gateway"],
+            "dataplane": ["run"],
+            "spill": ["run"],
+            "machine": ["run", "calibrate"],
+        }
 
 
 class TestDatasetCommand:

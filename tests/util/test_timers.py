@@ -16,13 +16,6 @@ class TestTimeBreakdown:
         with pytest.raises(ValueError):
             TimeBreakdown().add("a", -1.0)
 
-    def test_merge(self):
-        a = TimeBreakdown({"x": 1.0})
-        b = TimeBreakdown({"x": 2.0, "y": 3.0})
-        a.merge(b)
-        assert a.get("x") == pytest.approx(3.0)
-        assert a.get("y") == pytest.approx(3.0)
-
     def test_scaled(self):
         bd = TimeBreakdown({"x": 2.0}).scaled(0.5)
         assert bd.get("x") == pytest.approx(1.0)
