@@ -78,11 +78,8 @@ def edges_from_sorted_runs(
     ids = tuples.read_ids.astype(np.int64)
     firsts = ids[starts]
     us = np.repeat(firsts, lens - 1)
-    # every non-first position of each kept run, in order
-    member_mask = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.add.at(member_mask, starts, 1)
-    np.add.at(member_mask, starts + lens, -1)
-    in_run = np.cumsum(member_mask[:-1]) > 0
+    # every non-first position of each kept run, in order (runs tile ids)
+    in_run = np.repeat(keep, counts)
     in_run[starts] = False
     vs = ids[in_run]
     if len(us) != len(vs):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from repro.index.fastqpart import FastqPartTable, build_fastqpart
+from repro.index.fastqpart import FastqPartTable, fill_histograms, plan_chunks
 from repro.index.merhist import MerHist
 from repro.util.logging import get_logger
 
@@ -51,35 +51,17 @@ def index_create(
     parallelized in the same manner" — kept sequential here, as published).
     """
     t0 = time.perf_counter()
-    table = build_fastqpart(units, k=k, m=m, n_chunks=n_chunks)
-    # attribute the histogram scan to the merHist phase: rebuild split
-    # timings by measuring the (cheap) summation plus the scan embedded in
-    # build_fastqpart.  The scan dominates; boundary discovery is measured
-    # separately below by re-running it.
+    table = plan_chunks(units, k=k, m=m, n_chunks=n_chunks)
     t1 = time.perf_counter()
+    fill_histograms(table)
     merhist = MerHist(k=k, m=m, counts=table.global_histogram().astype("uint32"))
     t2 = time.perf_counter()
-
-    # build_fastqpart interleaves both concerns; split its cost by the
-    # documented proportions: boundary discovery is I/O-bound, histogram is
-    # compute-bound.  We time boundary discovery directly.
-    from repro.seqio.fastq import record_boundaries
-
-    tb0 = time.perf_counter()
-    for u in table.units:
-        for f in u.files:
-            record_boundaries(f)
-    boundary_seconds = time.perf_counter() - tb0
-
-    total_build = t1 - t0
-    fastqpart_seconds = min(boundary_seconds, total_build)
-    merhist_seconds = (total_build - fastqpart_seconds) + (t2 - t1)
 
     result = IndexCreateResult(
         merhist=merhist,
         fastqpart=table,
-        fastqpart_seconds=fastqpart_seconds,
-        merhist_seconds=merhist_seconds,
+        fastqpart_seconds=t1 - t0,
+        merhist_seconds=t2 - t1,
     )
     if output_dir is not None:
         out = Path(output_dir)

@@ -24,8 +24,8 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.index.merhist import histogram_batch
-from repro.seqio.fastq import read_fastq_region, record_boundaries
-from repro.seqio.records import FastqRecord, ReadBatch
+from repro.seqio.fastq import FastqParseError, load_fastq_region, record_boundaries
+from repro.seqio.records import ReadBatch
 from repro.seqio.tables import read_table, write_table
 from repro.util.validation import check_in_range, check_positive
 
@@ -174,7 +174,16 @@ def build_fastqpart(
     m: int,
     n_chunks: int,
 ) -> FastqPartTable:
-    """Build the chunk table by scanning the input files once.
+    """Build the chunk table: :func:`plan_chunks` (boundary discovery)
+    then :func:`fill_histograms` (the m-mer histogram scan)."""
+    table = plan_chunks(units, k, m, n_chunks)
+    fill_histograms(table)
+    return table
+
+
+def plan_chunks(units: Sequence, k: int, m: int, n_chunks: int) -> FastqPartTable:
+    """The chunk table with zeroed histograms, from one boundary scan of
+    every input file.
 
     ``n_chunks`` is the total chunk count C, distributed over units
     proportionally to their read counts (at least one chunk per non-empty
@@ -260,11 +269,15 @@ def build_fastqpart(
         total_reads=total_reads,
     )
 
-    # Pass 2: per-chunk m-mer histograms (the "read once, histogram" scan).
-    for c in range(table.n_chunks):
-        batch = load_chunk_reads(table, c)
-        table.hist[c] = histogram_batch(batch, k, m)
     return table
+
+
+def fill_histograms(table: FastqPartTable) -> None:
+    """Fill every chunk's m-mer histogram in place (the "read once,
+    histogram" scan)."""
+    for c in range(table.n_chunks):
+        batch = load_chunk_reads(table, c, keep_metadata=False)
+        table.hist[c] = histogram_batch(batch, table.k, table.m)
 
 
 def load_chunk_reads(
@@ -272,29 +285,29 @@ def load_chunk_reads(
 ) -> ReadBatch:
     """Materialize chunk ``c`` as a :class:`ReadBatch`.
 
-    For paired units the two mates of pair ``i`` are adjacent (R1 then R2)
-    and share the global read id ``read_lo + i``.
+    Each file's byte range is parsed as arrays
+    (:func:`~repro.seqio.fastq.load_fastq_region`).  For paired units the
+    two mates of pair ``i`` are adjacent (R1 then R2) and share the global
+    read id ``read_lo + i``.
     """
     check_in_range("chunk", c, 0, table.n_chunks - 1)
     u = table.units[int(table.unit[c])]
-    recs1 = read_fastq_region(u.r1, int(table.offset1[c]), int(table.size1[c]))
-    ids = list(range(int(table.read_lo[c]), int(table.read_hi[c])))
-    if len(recs1) != len(ids):
-        raise ValueError(
+    ids = np.arange(int(table.read_lo[c]), int(table.read_hi[c]), dtype=np.int64)
+    region1 = load_fastq_region(u.r1, int(table.offset1[c]), int(table.size1[c]))
+    if len(region1) != len(ids):
+        raise FastqParseError(
             f"chunk {c}: expected {len(ids)} records in {u.r1}, "
-            f"parsed {len(recs1)}"
+            f"parsed {len(region1)}"
         )
+    batch = region1.to_batch(ids, keep_metadata)
     if not u.paired:
-        return ReadBatch.from_records(recs1, ids, keep_metadata=keep_metadata)
-    recs2 = read_fastq_region(u.r2, int(table.offset2[c]), int(table.size2[c]))
-    if len(recs2) != len(recs1):
-        raise ValueError(
+        return batch
+    region2 = load_fastq_region(u.r2, int(table.offset2[c]), int(table.size2[c]))
+    if len(region2) != len(ids):
+        raise FastqParseError(
             f"chunk {c}: mate record counts differ "
-            f"({len(recs1)} vs {len(recs2)})"
+            f"({len(ids)} vs {len(region2)})"
         )
-    inter: List[FastqRecord] = []
-    inter_ids: List[int] = []
-    for i, (a, b) in enumerate(zip(recs1, recs2)):
-        inter.extend((a, b))
-        inter_ids.extend((ids[i], ids[i]))
-    return ReadBatch.from_records(inter, inter_ids, keep_metadata=keep_metadata)
+    pairs = ReadBatch.concatenate([batch, region2.to_batch(ids, keep_metadata)])
+    # mates adjacent: R1[0], R2[0], R1[1], R2[1], ...
+    return pairs.select(np.arange(2 * len(ids)).reshape(2, -1).T.ravel())

@@ -2,9 +2,9 @@
 
 The paper generates four k-mers at a time with 128-bit SIMD registers
 (section 3.2.1, Figure 3).  Here the same dataflow runs over whole read
-chunks at once with NumPy: a k-step shift loop builds all forward k-mers and
-all reverse complements simultaneously, and canonicalization is an
-elementwise minimum.  k <= 31 uses a single ``uint64`` limb; 32 <= k <= 63
+chunks at once with NumPy: binary doubling over ``k`` builds all forward
+k-mers and all reverse complements in about ``2 log2 k`` whole-array
+operations, and canonicalization is an elementwise minimum.  k <= 31 uses a single ``uint64`` limb; 32 <= k <= 63
 uses two limbs, mirroring the paper's 64-bit / 128-bit k-mer encodings.
 """
 

@@ -132,23 +132,18 @@ class KmerArray:
         check_in_range("m", m, 1, min(32, self.k))
         return self.high_bits(2 * m)
 
-    def radix_digit(self, byte_index: int) -> np.ndarray:
-        """Return the ``byte_index``-th least significant byte as ``uint64``.
+    def radix_digit(self, index: int, bits: int = 8) -> np.ndarray:
+        """The ``index``-th least significant ``bits``-bit digit as ``uint64``.
 
-        Bytes 0..7 come from ``lo``; 8..15 from ``hi`` (two-limb mode).  Used
-        by the LSD radix sort: 8 passes for one limb, 16 for two (paper
-        sections 3.4 and 4.4).
+        Digits of ``lo`` come first, then those of ``hi`` (two-limb mode).
+        Used by the LSD radix sort: with 8-bit digits, 8 passes for one
+        limb, 16 for two (paper sections 3.4 and 4.4).
         """
-        limbs = 2 if self.two_limb else 1
-        check_in_range("byte_index", byte_index, 0, 8 * limbs - 1)
-        if byte_index < 8:
-            src = self.lo
-            shift = 8 * byte_index
-        else:
-            assert self.hi is not None
-            src = self.hi
-            shift = 8 * (byte_index - 8)
-        return (src >> _U64(shift)) & _U64(0xFF)
+        per_limb = 64 // bits
+        check_in_range("index", index, 0, per_limb * (2 if self.two_limb else 1) - 1)
+        limb, pos = divmod(index, per_limb)
+        src = self.hi if limb else self.lo
+        return (src >> _U64(bits * pos)) & _U64((1 << bits) - 1)
 
     @property
     def n_radix_bytes(self) -> int:

@@ -2,11 +2,14 @@
 
 The paper's SIMD kernel (section 3.2.1) keeps four k-mers in flight in
 128-bit registers and advances them one base per step.  The NumPy analogue
-keeps *every* k-mer of a read chunk in flight: a ``k``-iteration shift loop
-over the chunk's concatenated code array builds all forward k-mers and all
-reverse complements as whole-array operations, then canonicalizes with an
-elementwise minimum.  Per-element work is identical; the "vector width" is
-the chunk length instead of 4.
+keeps *every* k-mer of a read chunk in flight: the packed value of every
+k-base window of the chunk's concatenated code array is built by binary
+doubling over ``k`` (windows of 1, 2, 4, ... bases, each the shifted
+concatenation of two halves, then joined along the set bits of ``k``), so
+about ``2 log2 k`` whole-array operations replace a ``k``-step shift loop.
+Reverse complements are the same windows over the reversed complement
+codes, and canonicalization is an elementwise minimum.  Per-element work
+is the SIMD kernel's; the "vector width" is the chunk length instead of 4.
 
 Windows that cross a read boundary or contain an ``N`` are masked out
 (section 3.2: "We do not enumerate k-mers that contain the N symbol").
@@ -24,9 +27,6 @@ from repro.seqio.records import ReadBatch
 from repro.util.validation import check_in_range
 
 _U64 = np.uint64
-_TWO = _U64(2)
-_THREE = _U64(3)
-_SIXTYTWO = _U64(62)
 
 
 @dataclass
@@ -133,69 +133,49 @@ def enumerate_canonical_kmers(batch: ReadBatch, k: int) -> KmerTuples:
     clean = (bad[k:] - bad[:npos]) == 0
     valid = within_read & clean
 
-    c64 = codes.astype(np.uint64)
-    two_limb = k > MAX_K_ONE_LIMB
-
-    if not two_limb:
-        fwd = np.zeros(npos, dtype=np.uint64)
-        for j in range(k):
-            fwd = (fwd << _TWO) | (c64[j : j + npos] & _THREE)
-        rc = np.zeros(npos, dtype=np.uint64)
-        for j in range(k):
-            off = k - 1 - j
-            rc = (rc << _TWO) | ((_THREE - c64[off : off + npos]) & _THREE)
-        fwd_arr = KmerArray(k, fwd)
-        rc_arr = KmerArray(k, rc)
-    else:
-        fwd_hi = np.zeros(npos, dtype=np.uint64)
-        fwd_lo = np.zeros(npos, dtype=np.uint64)
-        for j in range(k):
-            fwd_hi = (fwd_hi << _TWO) | (fwd_lo >> _SIXTYTWO)
-            fwd_lo = (fwd_lo << _TWO) | (c64[j : j + npos] & _THREE)
-        rc_hi = np.zeros(npos, dtype=np.uint64)
-        rc_lo = np.zeros(npos, dtype=np.uint64)
-        for j in range(k):
-            off = k - 1 - j
-            rc_hi = (rc_hi << _TWO) | (rc_lo >> _SIXTYTWO)
-            rc_lo = (rc_lo << _TWO) | ((_THREE - c64[off : off + npos]) & _THREE)
-        # Mask hi limbs to 2k-64 significant bits (shift loop may have pushed
-        # stray invalid-code bits above them -- they are masked out below for
-        # valid windows anyway, but keep limbs canonical).
-        hi_bits = 2 * k - 64
-        mask = (
-            (_U64(1) << _U64(hi_bits)) - _U64(1)
-            if hi_bits < 64
-            else _U64(0xFFFFFFFFFFFFFFFF)
-        )
-        fwd_hi &= mask
-        rc_hi &= mask
-        fwd_arr = KmerArray(k, fwd_lo, fwd_hi)
-        rc_arr = KmerArray(k, rc_lo, rc_hi)
-
-    canon = fwd_arr.minimum(rc_arr)
     keep = np.flatnonzero(valid)
-    kmers = canon.take(keep)
+    # masking N to a base only alters windows ``valid`` already drops
+    fwd_codes = (codes & 3).astype(np.uint64)
+    rc_codes = (_U64(3) - fwd_codes)[::-1]
+    # the reverse complement of window i is window npos-1-i of rc_codes
+    fwd = KmerArray(k, *_window_limbs(fwd_codes, k, keep))
+    rc = KmerArray(k, *_window_limbs(rc_codes, k, (npos - 1) - keep))
+    kmers = fwd.minimum(rc)
     read_ids = batch.read_ids[base_read[keep]].astype(np.uint32)
     return KmerTuples(kmers, read_ids)
 
 
-def count_kmer_positions(batch: ReadBatch, k: int) -> int:
-    """Number of canonical k-mers :func:`enumerate_canonical_kmers` would
-    emit, without materializing them (used for capacity planning tests)."""
-    if batch.n_reads == 0:
-        return 0
-    total = 0
-    codes = batch.codes
-    for i in range(batch.n_reads):
-        lo, hi = int(batch.offsets[i]), int(batch.offsets[i + 1])
-        length = hi - lo
-        if length < k:
-            continue
-        invalid = codes[lo:hi] > 3
-        if not invalid.any():
-            total += length - k + 1
-            continue
-        bad = np.concatenate(([0], np.cumsum(invalid)))
-        windows = bad[k:] - bad[: length - k + 1]
-        total += int((windows == 0).sum())
-    return total
+def _window_limbs(codes: np.ndarray, k: int, at: np.ndarray):
+    """``(lo, hi)`` limbs of the k-base windows of ``codes`` starting at
+    ``at``: one limb for k <= 31; else ``lo`` is the last 32 bases and
+    ``hi`` the first k - 32."""
+    if k <= MAX_K_ONE_LIMB:
+        return _windows(codes, k)[at], None
+    lo = _windows(codes[k - 32 :], 32)[at]
+    if k == 32:
+        return lo, np.zeros(len(at), dtype=np.uint64)
+    return lo, _windows(codes, k - 32)[at]
+
+
+def _windows(codes: np.ndarray, w: int) -> np.ndarray:
+    """Packed value of every ``w``-base window (1 <= w <= 32) of the 2-bit
+    ``uint64`` codes, ``len(codes) - w + 1`` values, by binary doubling.
+
+    ``piece`` holds the windows of ``piece_len`` bases (1, 2, 4, ...);
+    each set bit of ``w`` appends the current piece to ``acc``.
+    """
+    acc, acc_len = None, 0
+    piece, piece_len = codes, 1
+    while True:
+        if w & piece_len:
+            if acc is None:
+                acc, acc_len = piece, piece_len
+            else:
+                n = len(codes) - acc_len - piece_len + 1
+                acc = (acc[:n] << _U64(2 * piece_len)) | piece[acc_len : acc_len + n]
+                acc_len += piece_len
+        if 2 * piece_len > w:
+            return acc
+        n = len(piece) - piece_len
+        piece = (piece[:n] << _U64(2 * piece_len)) | piece[piece_len:]
+        piece_len *= 2

@@ -104,9 +104,7 @@ class ReadBatch:
         lengths = np.fromiter((len(r) for r in records), dtype=np.int64, count=n)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        codes = np.empty(int(offsets[-1]), dtype=np.uint8)
-        for i, rec in enumerate(records):
-            codes[offsets[i] : offsets[i + 1]] = encode_sequence(rec.sequence)
+        codes = encode_sequence("".join(r.sequence for r in records))
         if read_ids is None:
             ids = np.arange(n, dtype=np.int64)
         else:
@@ -160,6 +158,16 @@ class ReadBatch:
         qual = self.quals[i] if self.quals else "I" * len(seq)
         return FastqRecord(name, seq, qual)
 
+    def to_fastq(self) -> List[str]:
+        """Every read as FASTQ text: ``[self.record(i).to_fastq() ...]``,
+        with the sequences decoded in one pass."""
+        text = decode_sequence(self.codes)
+        bounds = self.offsets.tolist()
+        seqs = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+        names = self.names or [f"read/{i}" for i in self.read_ids.tolist()]
+        quals = self.quals or ["I" * len(s) for s in seqs]
+        return [f"@{n}\n{s}\n+\n{q}\n" for n, s, q in zip(names, seqs, quals)]
+
     def __len__(self) -> int:
         return self.n_reads
 
@@ -173,13 +181,10 @@ class ReadBatch:
         lengths = self.lengths[indices]
         offsets = np.zeros(len(indices) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        codes = np.empty(int(offsets[-1]), dtype=np.uint8)
-        for out_i, src_i in enumerate(indices):
-            codes[offsets[out_i] : offsets[out_i + 1]] = self.codes[
-                self.offsets[src_i] : self.offsets[src_i + 1]
-            ]
-        names = [self.names[i] for i in indices] if self.names else None
-        quals = [self.quals[i] for i in indices] if self.quals else None
+        shift = np.repeat(self.offsets[indices] - offsets[:-1], lengths)
+        codes = self.codes[shift + np.arange(offsets[-1])]
+        names = [self.names[i] for i in indices.tolist()] if self.names else None
+        quals = [self.quals[i] for i in indices.tolist()] if self.quals else None
         return ReadBatch(codes, offsets, self.read_ids[indices], names, quals)
 
     @staticmethod

@@ -13,7 +13,6 @@ from repro.sort.radix import (
     RadixSortStats,
     radix_passes_for,
     radix_sort_tuples,
-    counting_sort_by_digit,
 )
 from repro.sort.partition import range_partition, partition_boundaries_equal
 from repro.sort.sampling import (
@@ -30,7 +29,6 @@ __all__ = [
     "RadixSortStats",
     "radix_passes_for",
     "radix_sort_tuples",
-    "counting_sort_by_digit",
     "range_partition",
     "partition_boundaries_equal",
     "SamplingPartitionStats",

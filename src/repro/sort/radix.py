@@ -7,10 +7,12 @@ because accessing bucket counts of 256 buckets repeatedly has better
 temporal locality."
 
 This module keeps that structure: one stable counting-sort pass per 8-bit
-digit, least significant digit first, ping-ponging between two buffers
-(out-of-place).  The per-pass stable reorder uses NumPy's stable sort on
-``uint8`` digits, which NumPy itself implements as an O(n) radix/counting
-sort for 8-bit integers — so the per-pass cost model matches the paper's.
+digit, least significant digit first, out of place.  Each pass is one
+``np.argsort(digit, kind="stable")``: for ``uint8`` (and ``uint16``) keys
+NumPy's stable sort *is* an O(n) counting/radix sort in native code, so a
+pass costs one histogram, one prefix sum and one stable scatter, as in the
+paper, with no per-bucket Python loop.  The tests pin it to an explicit
+256-bucket counting sort.
 
 An adaptive optimization (on by default) skips passes whose digit is
 constant across the partition; this is exactly why multipass runs with
@@ -26,7 +28,6 @@ from typing import List
 import numpy as np
 
 from repro import telemetry
-from repro.kmers.codec import KmerArray
 from repro.kmers.engine import KmerTuples
 
 RADIX_BITS = 8
@@ -58,39 +59,6 @@ class RadixSortStats:
         return self
 
 
-def counting_sort_by_digit(digit: np.ndarray) -> np.ndarray:
-    """Stable permutation sorting one 8-bit digit column.
-
-    Explicit counting sort, structured exactly as the paper's per-pass
-    kernel: 256 bucket counts (:func:`np.bincount`), an exclusive prefix
-    sum fixing each bucket's output range, then a stable scatter filling
-    each occupied bucket's range with its members in input order.
-    Returns the gather permutation ``order`` such that ``digit[order]``
-    is sorted and equal digits keep their input order.
-
-    :func:`argsort_by_digit` is the oracle this is tested against.
-    """
-    digit = np.ascontiguousarray(digit, dtype=np.uint8)
-    counts = np.bincount(digit, minlength=RADIX_BUCKETS)
-    bounds = np.zeros(RADIX_BUCKETS + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    order = np.empty(len(digit), dtype=np.int64)
-    for b in np.flatnonzero(counts):
-        order[bounds[b] : bounds[b + 1]] = np.flatnonzero(digit == b)
-    return order
-
-
-def argsort_by_digit(digit: np.ndarray) -> np.ndarray:
-    """The stable-argsort oracle for :func:`counting_sort_by_digit`.
-
-    NumPy's stable sort on ``uint8`` is an O(n) radix/counting sort
-    internally, so this produces the identical permutation; the
-    differential tests pin the two to each other.
-    """
-    digit = np.ascontiguousarray(digit, dtype=np.uint8)
-    return np.argsort(digit, kind="stable")
-
-
 def radix_sort_tuples(
     tuples: KmerTuples,
     skip_constant: bool = True,
@@ -108,7 +76,6 @@ def radix_sort_tuples(
     """
     if digit_bits not in (8, 16):
         raise ValueError(f"digit_bits must be 8 or 16, got {digit_bits}")
-    k = tuples.k
     key_bits = 128 if tuples.kmers.two_limb else 64
     nominal = key_bits // digit_bits
     stats = RadixSortStats(
@@ -118,42 +85,18 @@ def radix_sort_tuples(
         stats.passes_skipped = nominal
         return tuples, stats
 
-    lo = tuples.kmers.lo.copy()
-    hi = tuples.kmers.hi.copy() if tuples.kmers.hi is not None else None
-    ids = tuples.read_ids.copy()
-
-    mask = np.uint64((1 << digit_bits) - 1)
     digit_dtype = np.uint8 if digit_bits == 8 else np.uint16
-    digits_per_limb = 64 // digit_bits
-
+    out = tuples
     for digit_index in range(nominal):
-        if digit_index < digits_per_limb:
-            src = lo
-            shift = digit_bits * digit_index
-        else:
-            assert hi is not None
-            src = hi
-            shift = digit_bits * (digit_index - digits_per_limb)
-        digit = ((src >> np.uint64(shift)) & mask).astype(digit_dtype)
+        digit = out.kmers.radix_digit(digit_index, digit_bits).astype(digit_dtype)
         if skip_constant and digit[0] == digit[-1] and not np.any(digit != digit[0]):
             stats.passes_skipped += 1
             continue
-        # 8-bit digits use the explicit 256-bucket counting sort (the
-        # paper's kernel); the 16-bit ablation path keeps the stable
-        # argsort — 65536 buckets lose the temporal locality that makes
-        # the explicit counting formulation worthwhile (section 3.4).
-        if digit_bits == 8:
-            order = counting_sort_by_digit(digit)
-        else:
-            order = np.argsort(digit, kind="stable")
-        lo = lo[order]
-        ids = ids[order]
-        if hi is not None:
-            hi = hi[order]
+        # stable O(n) counting sort of the digit column (native radix)
+        out = out.take(np.argsort(digit, kind="stable"))
         stats.passes_executed += 1
         stats.digits_histogrammed.append(digit_index)
-
-    return KmerTuples(KmerArray(k, lo, hi), ids), stats
+    return out, stats
 
 
 def radix_sort_block(

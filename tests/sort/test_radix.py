@@ -1,15 +1,66 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kmers.codec import KmerArray
 from repro.kmers.engine import KmerTuples, enumerate_canonical_kmers
 from repro.sort.radix import (
     RADIX_BUCKETS,
-    counting_sort_by_digit,
+    RadixSortStats,
     radix_passes_for,
     radix_sort_tuples,
 )
 from repro.sort.validate import is_sorted_kmers, verify_sort
+
+
+def counting_sort_by_digit(digit: np.ndarray, buckets: int = RADIX_BUCKETS) -> np.ndarray:
+    """Oracle: explicit counting sort of one digit column, structured as
+    the paper's per-pass kernel — bucket counts, an exclusive prefix sum
+    fixing each bucket's output range, then a stable scatter filling each
+    occupied bucket's range with its members in input order.  Returns the
+    gather permutation ``order`` such that ``digit[order]`` is sorted and
+    equal digits keep their input order."""
+    digit = np.ascontiguousarray(digit)
+    counts = np.bincount(digit, minlength=buckets)
+    bounds = np.zeros(buckets + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    order = np.empty(len(digit), dtype=np.int64)
+    for b in np.flatnonzero(counts):
+        order[bounds[b] : bounds[b + 1]] = np.flatnonzero(digit == b)
+    return order
+
+
+def radix_sort_oracle(tuples, skip_constant=True, digit_bits=8):
+    """Oracle: the LSD pass loop over :func:`counting_sort_by_digit`."""
+    key_bits = 128 if tuples.kmers.two_limb else 64
+    nominal = key_bits // digit_bits
+    stats = RadixSortStats(
+        n_tuples=len(tuples), passes_nominal=nominal, bucket_bits=digit_bits
+    )
+    if len(tuples) <= 1:
+        stats.passes_skipped = nominal
+        return tuples, stats
+    limbs = [tuples.kmers.lo.copy()]
+    if tuples.kmers.hi is not None:
+        limbs.append(tuples.kmers.hi.copy())
+    ids = tuples.read_ids.copy()
+    per_limb = 64 // digit_bits
+    for digit_index in range(nominal):
+        limb, pos = divmod(digit_index, per_limb)
+        digit = (limbs[limb] >> np.uint64(digit_bits * pos)) & np.uint64(
+            (1 << digit_bits) - 1
+        )
+        if skip_constant and np.all(digit == digit[0]):
+            stats.passes_skipped += 1
+            continue
+        order = counting_sort_by_digit(digit.astype(np.int64), 1 << digit_bits)
+        limbs = [x[order] for x in limbs]
+        ids = ids[order]
+        stats.passes_executed += 1
+        stats.digits_histogrammed.append(digit_index)
+    hi = limbs[1] if len(limbs) > 1 else None
+    return KmerTuples(KmerArray(tuples.k, limbs[0], hi), ids), stats
 
 
 def make_tuples(rng, n, k=27):
@@ -42,6 +93,41 @@ class TestCountingSort:
         for d in np.unique(digits):
             positions = order[out == d]
             assert np.all(np.diff(positions) > 0)
+
+
+@st.composite
+def tuple_columns(draw):
+    """Random tuples, one- or two-limb, with keys drawn from a narrow or a
+    full range so both skipped and executed passes occur."""
+    k = draw(st.sampled_from([5, 13, 27, 31, 32, 40, 63]))
+    n = draw(st.integers(0, 300))
+    key_bits = draw(st.sampled_from([8, 20, 64]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    lo_bits = min(key_bits, 2 * k, 64)
+    lo = rng.integers(0, 2**lo_bits, size=n, dtype=np.uint64, endpoint=False)
+    hi = None
+    if k > 31:
+        hi_bits = min(key_bits, 2 * k - 64) if k > 32 else 0
+        hi = rng.integers(0, 2**hi_bits, size=n, dtype=np.uint64)
+    ids = rng.integers(0, 2**32, size=n, dtype=np.uint32)
+    return KmerTuples(KmerArray(k, lo, hi), ids)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tuple_columns(),
+    st.sampled_from([8, 16]),
+    st.booleans(),
+)
+def test_radix_passes_equal_counting_sort_oracle(tuples, digit_bits, skip):
+    out, stats = radix_sort_tuples(tuples, skip_constant=skip, digit_bits=digit_bits)
+    ref, ref_stats = radix_sort_oracle(tuples, skip_constant=skip, digit_bits=digit_bits)
+    assert np.array_equal(out.kmers.lo, ref.kmers.lo)
+    if tuples.kmers.two_limb:
+        assert np.array_equal(out.kmers.hi, ref.kmers.hi)
+    assert np.array_equal(out.read_ids, ref.read_ids)
+    assert stats == ref_stats
 
 
 class TestRadixSort:
